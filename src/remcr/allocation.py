@@ -51,7 +51,7 @@ class InterferenceProfile:
         object.__setattr__(self, "est_weights", e)
         if w.shape != e.shape:
             raise ValueError("weights and est_weights must have equal length")
-        if np.any(w <= 0.0) or np.any(e <= 0.0):
+        if (w <= 0.0).any() or (e <= 0.0).any():
             raise ValueError("interference weights must be positive")
 
     def __len__(self) -> int:

@@ -95,7 +95,7 @@ def gudmundson_correlation(d_tx_m, d_rx_m, decorr_m: float):
         raise ValueError("decorrelation distance must be positive")
     d_tx = np.asarray(d_tx_m, dtype=float)
     d_rx = np.asarray(d_rx_m, dtype=float)
-    if np.any(d_tx < 0.0) or np.any(d_rx < 0.0):
+    if (d_tx < 0.0).any() or (d_rx < 0.0).any():
         raise ValueError("displacements must be non-negative")
     out = 0.5 ** (d_tx / decorr_m) * 0.5 ** (d_rx / decorr_m)
     if np.isscalar(d_tx_m) and np.isscalar(d_rx_m):
@@ -115,6 +115,21 @@ def _link_quantile(
     return float(np.quantile(gains, SNR_TARGET_QUANTILE))
 
 
+def _licensed_quantile(cfg: ScenarioConfig, n_samples: int) -> float:
+    if n_samples < 10_000:
+        raise ValueError("calibration needs at least 1e4 samples")
+    return _link_quantile(cfg, cfg.R0, cfg.R, n_samples, _CAL_PU_TAG)
+
+
+def _pu_power(cfg: ScenarioConfig, q_pu: float) -> float:
+    return SNR_TARGET_LINEAR * cfg.noise_power / q_pu
+
+
+def _cr_power(cfg: ScenarioConfig, pu_const: float, q_pu: float, n_samples: int) -> float:
+    q_cr = _link_quantile(cfg, cfg.R0, cfg.Rc, n_samples, _CAL_CR_TAG)
+    return pu_const * q_pu / q_cr
+
+
 def calibrate_pu_power(cfg: ScenarioConfig, n_samples: int = 200_000) -> float:
     """Transmit-power constant of the licensed system.
 
@@ -123,10 +138,7 @@ def calibrate_pu_power(cfg: ScenarioConfig, n_samples: int = 200_000) -> float:
     is linear in the constant, so no search is needed:
         pu = SNR_TARGET_LINEAR * noise_power / quantile.
     """
-    if n_samples < 10_000:
-        raise ValueError("calibration needs at least 1e4 samples")
-    q = _link_quantile(cfg, cfg.R0, cfg.R, n_samples, _CAL_PU_TAG)
-    return SNR_TARGET_LINEAR * cfg.noise_power / q
+    return _pu_power(cfg, _licensed_quantile(cfg, n_samples))
 
 
 def calibrate_cr_power(cfg: ScenarioConfig, pu_const: float, n_samples: int = 200_000) -> float:
@@ -139,15 +151,13 @@ def calibrate_cr_power(cfg: ScenarioConfig, pu_const: float, n_samples: int = 20
     5th-percentile SNR exactly the 5 dB target; with shadowing switched off
     the ratio approaches (Rc/R)**gamma_pl.
     """
-    if n_samples < 10_000:
-        raise ValueError("calibration needs at least 1e4 samples")
-    q_pu = _link_quantile(cfg, cfg.R0, cfg.R, n_samples, _CAL_PU_TAG)
-    q_cr = _link_quantile(cfg, cfg.R0, cfg.Rc, n_samples, _CAL_CR_TAG)
-    return pu_const * q_pu / q_cr
+    return _cr_power(cfg, pu_const, _licensed_quantile(cfg, n_samples), n_samples)
 
 
 def calibrate(cfg: ScenarioConfig, n_samples: int = 200_000) -> PowerConstants:
-    """Calibrate both transmit-power constants for a scenario."""
-    pu = calibrate_pu_power(cfg, n_samples)
-    cr = calibrate_cr_power(cfg, pu, n_samples)
-    return PowerConstants(pu=pu, cr=cr)
+    """Calibrate both transmit-power constants for a scenario; the same as
+    calibrate_pu_power followed by calibrate_cr_power, with the licensed-link
+    quantile computed once."""
+    q_pu = _licensed_quantile(cfg, n_samples)
+    pu = _pu_power(cfg, q_pu)
+    return PowerConstants(pu=pu, cr=_cr_power(cfg, pu, q_pu, n_samples))

@@ -207,6 +207,9 @@ def run(argv=None) -> int:
     except lcrmod.FitFailureError as exc:
         print(f"fit failure: {exc}", file=sys.stderr)
         return 3
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
     text = _render_csv(table) if args.format == "csv" else _render_json(args.command, cfg, table)
     if args.out:

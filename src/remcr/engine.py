@@ -1,9 +1,18 @@
-"""Per-trial admission pipeline shared by every study and Monte Carlo oracle.
+"""Admission pipeline shared by every study: draw each trial once, then
+evaluate it at any number of sweep points.
 
-One trial: place transmitters, draw true shadowing, derive the map estimates,
-admit greedily against the estimated budget, and report true and estimated
-quantities.  Everything is vectorized over the candidate set; streams are
-derived per (trial, purpose) so trials are order-independent.
+No random draw of a trial depends on the sweep variables (grid size delta,
+decorrelation distance D_d, buffer): the transmitter positions, the true
+shadowing and the fresh map draws all come from per-(trial, purpose)
+streams.  draw_trials takes those draws for a block of trials into padded
+arrays; evaluate turns a block into map estimates and the greedy admission
+order at one (delta, D_d), vectorized across trials.  Admission for any
+budget, realized degradation and critical budgets are reductions over one
+Evaluation.  The per-trial functions below are views onto the same path
+with a block of one trial.
+
+Studies walk trials in blocks of TRIAL_BLOCK, which bounds the working
+memory of an evaluation whatever the trial count or link density.
 """
 
 from __future__ import annotations
@@ -13,14 +22,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from remcr.allocation import InterferenceProfile, _admit_prefix
-from remcr.channel import PowerConstants, calibrate, gudmundson_correlation, sample_shadows
-from remcr.geometry import Placement, sample_placement
+from remcr.allocation import InterferenceProfile
+from remcr.channel import PowerConstants, calibrate, sample_shadows
+from remcr.geometry import Point, sample_placement, snap_points, snap_to_grid
 from remcr.rem import estimate_links
 from remcr.scenario import ScenarioConfig, derive_stream, interference_threshold
 
 __all__ = [
+    "TRIAL_BLOCK",
+    "TrialBatch",
+    "Evaluation",
     "TrialCandidates",
+    "draw_trials",
+    "trial_batches",
+    "evaluate",
+    "sweep",
     "draw_candidates",
     "trial_profile",
     "degradation_samples",
@@ -31,14 +47,50 @@ _PLACE_TAG = "place"
 _SHADOW_TAG = "shadow"
 _REM_TAG = "rem"
 
+# Trials per block.  At 3 142 links a trial, ten trials keep an evaluation's
+# temporaries to a few MB.
+TRIAL_BLOCK = 10
+
+# The protected receiver sits at the origin of every scenario.
+_RECEIVER = Point(0.0, 0.0)
+
+
+@dataclass(frozen=True)
+class TrialBatch:
+    """Raw draws of a block of trials; row i is trial trials[i].
+
+    The link arrays have one column per transmitter.  Column 0 is the
+    licensed transmitter, whose link to the receiver is the protected one;
+    columns 1 .. counts[i] are the active secondary transmitters, and zero
+    padding fills the row up to the block's largest count.  active marks
+    the secondary columns that hold a transmitter, (n_trials, max_active).
+
+    xy           positions, (n_trials, 1 + max_active, 2)
+    shadows      true shadowing in the natural-log domain
+    fresh        the fresh shadowing draws the map estimate mixes in
+    true_powers  true mean received power at the protected receiver
+    """
+
+    cfg: ScenarioConfig
+    consts: PowerConstants
+    trials: np.ndarray
+    counts: np.ndarray
+    active: np.ndarray
+    xy: np.ndarray
+    shadows: np.ndarray
+    fresh: np.ndarray
+    true_powers: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.trials)
+
 
 @dataclass(frozen=True)
 class TrialCandidates:
     """All candidate links of one trial, sorted by estimated interference.
 
     est_sorted / true_sorted are aligned; cumulative sums over the sorted
-    estimates drive admission for any budget, which lets budget sweeps reuse
-    one trial draw.
+    estimates drive admission for any budget.
     """
 
     est_sorted: np.ndarray
@@ -49,66 +101,198 @@ class TrialCandidates:
     clamped: int
 
 
+def draw_trials(cfg: ScenarioConfig, consts: PowerConstants, trials) -> TrialBatch:
+    """Draw the given trials: placement, true shadowing and fresh map draws.
+
+    Each trial reads its "place", "shadow" and "rem" streams in the same
+    order as one-trial-at-a-time drawing, so a trial's draws do not depend
+    on the block it is drawn in.
+    """
+    trials = np.array(trials, dtype=np.int64).reshape(-1)
+    if len(trials) == 0:
+        raise ValueError("need at least one trial")
+    pu_xy, pu_shadow, pu_fresh, crs, shadows, fresh = [], [], [], [], [], []
+    for i in trials.tolist():
+        place_stream = derive_stream(cfg.master_seed, i, _PLACE_TAG)
+        shadow_stream = derive_stream(cfg.master_seed, i, _SHADOW_TAG)
+        rem_stream = derive_stream(cfg.master_seed, i, _REM_TAG)
+        placement = sample_placement(place_stream, cfg)
+        n = len(placement.crs)
+        pu_xy.append(placement.pu_tx)
+        crs.append(placement.crs)
+        shadows.append(sample_shadows(shadow_stream, n, cfg.sigma_dB))
+        pu_shadow.append(sample_shadows(shadow_stream, 1, cfg.sigma_dB))
+        fresh.append(sample_shadows(rem_stream, n, cfg.sigma_dB))
+        pu_fresh.append(sample_shadows(rem_stream, 1, cfg.sigma_dB))
+
+    counts = np.array([len(xy) for xy in crs], dtype=np.int64)
+    active = np.arange(counts.max(initial=0)) < counts[:, None]
+
+    def links(licensed, secondary):
+        """Per-trial values of the licensed link, then the secondary links
+        of all trials in trial order, as padded link columns."""
+        if len(secondary) == active.size:
+            padded = secondary.reshape(active.shape + secondary.shape[1:])
+        else:
+            padded = np.zeros(active.shape + secondary.shape[1:])
+            padded[active] = secondary
+        return np.concatenate((licensed[:, None], padded), axis=1)
+
+    def true_power(const, shadow, xy):
+        return const * np.exp(shadow) * np.hypot(xy[:, 0], xy[:, 1]) ** (-cfg.gamma_pl)
+
+    pu_xy = np.array(pu_xy, dtype=float)
+    pu_shadow = np.concatenate(pu_shadow)
+    xy = np.concatenate(crs)
+    sh = np.concatenate(shadows)
+    return TrialBatch(
+        cfg=cfg,
+        consts=consts,
+        trials=trials,
+        counts=counts,
+        active=active,
+        xy=links(pu_xy, xy),
+        shadows=links(pu_shadow, sh),
+        fresh=links(np.concatenate(pu_fresh), np.concatenate(fresh)),
+        true_powers=links(
+            true_power(consts.pu, pu_shadow, pu_xy), true_power(consts.cr, sh, xy)
+        ),
+    )
+
+
+def trial_batches(cfg: ScenarioConfig, consts: PowerConstants, n_trials: int):
+    """Draws of trials 0 .. n_trials-1, one TrialBatch per TRIAL_BLOCK trials.
+
+    A generator: a block is drawn only when the previous one is done with.
+    """
+    for lo in range(0, n_trials, TRIAL_BLOCK):
+        yield draw_trials(cfg, consts, range(lo, min(lo + TRIAL_BLOCK, n_trials)))
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """A TrialBatch seen through the map at one (delta, D_d).
+
+    est_sorted / true_sorted list each trial's secondary links in ascending
+    order of estimated power (ties keep link order); padding sorts last with
+    an infinite estimate and zero true power, so it is never admitted and
+    adds nothing.  s_est is the protected link's estimate, and clamped marks
+    the links, in the batch's column order, whose cell-center distance was
+    clamped.
+    """
+
+    batch: TrialBatch
+    est_sorted: np.ndarray
+    true_sorted: np.ndarray
+    s_est: np.ndarray
+    clamped: np.ndarray
+
+    def admitted(self, budget: float) -> np.ndarray:
+        """Per trial, the length of the greedy prefix whose estimated sum
+        stays within budget."""
+        return (np.cumsum(self.est_sorted, axis=1) <= budget).sum(axis=1)
+
+    def degradation(self, budget: float) -> np.ndarray:
+        """Realized degradation (dB) per trial when admitting against budget."""
+        noise = self.batch.cfg.noise_power
+        out = np.empty(len(self.batch))
+        for row, k in enumerate(self.admitted(budget).tolist()):
+            # a per-row sum of the prefix and a scalar log keep the rounding
+            # of one-trial evaluation
+            total = float(np.sum(self.true_sorted[row, :k]))
+            out[row] = 10.0 * math.log10((total + noise) / noise)
+        return out
+
+    def critical_budgets(self, true_cap: float) -> np.ndarray:
+        """Per trial, the estimated budget at which the realized interference
+        first exceeds true_cap; +inf when it never does.  The estimated
+        running sum only grows, so that is its smallest value where the true
+        running sum is over the cap."""
+        over = np.cumsum(self.true_sorted, axis=1) > true_cap
+        cum_est = np.where(over, np.cumsum(self.est_sorted, axis=1), math.inf)
+        return cum_est.min(axis=1, initial=math.inf)
+
+    def profiles(self, budget: float) -> list[InterferenceProfile]:
+        """Admitted profile of every trial for the budget.  The profiles own
+        their weights, so keeping them does not keep the block's arrays."""
+        return [
+            InterferenceProfile(
+                weights=self.true_sorted[row, :k].copy(),
+                est_weights=self.est_sorted[row, :k].copy(),
+                s_true=float(self.batch.true_powers[row, 0]),
+                s_est=float(self.s_est[row]),
+            )
+            for row, k in enumerate(self.admitted(budget).tolist())
+        ]
+
+    def candidates(self, row: int) -> TrialCandidates:
+        """The candidate links of one trial, without padding."""
+        n = int(self.batch.counts[row])
+        return TrialCandidates(
+            est_sorted=self.est_sorted[row, :n],
+            true_sorted=self.true_sorted[row, :n],
+            s_true=float(self.batch.true_powers[row, 0]),
+            s_est=float(self.s_est[row]),
+            n_active=n,
+            clamped=int(np.count_nonzero(self.clamped[row, 1 : n + 1])),
+        )
+
+
+def evaluate(batch: TrialBatch, delta: float, D_d: float) -> Evaluation:
+    """Map estimates and admission order of a batch at grid size delta and
+    decorrelation distance D_d; pure and vectorized across trials.
+
+    One rem.estimate_links call estimates every link, the protected one
+    included, against the snapped receiver.
+    """
+    cfg, consts = batch.cfg, batch.consts
+    power_const = np.full(batch.shadows.shape[1], consts.cr)
+    power_const[0] = consts.pu
+    est, _, _, clamped = estimate_links(
+        batch.fresh, power_const, cfg.gamma_pl, batch.shadows, batch.xy,
+        snap_points(batch.xy, delta), _RECEIVER, snap_to_grid(_RECEIVER, delta), D_d, cfg.R0,
+    )
+    secondary = np.where(batch.active, est[:, 1:], math.inf)
+    order = np.argsort(secondary, axis=1, kind="stable")
+    rows = np.arange(len(batch))[:, None]
+    return Evaluation(
+        batch=batch,
+        est_sorted=secondary[rows, order],
+        true_sorted=batch.true_powers[rows, order + 1],
+        s_est=est[:, 0],
+        clamped=clamped,
+    )
+
+
+def sweep(batches, n_trials: int, points, reduce) -> list[np.ndarray]:
+    """reduce(evaluate(batch, delta, D_d)) over all trials, per point.
+
+    batches cover trials 0 .. n_trials-1 (trial_batches, or a list of them
+    to sweep again later); points are (delta, D_d) pairs.  Each batch is
+    evaluated at every point before the next one is taken, so a trial is
+    drawn once however many points there are.  Returns one (n_trials,)
+    array per point.
+    """
+    out = [np.empty(n_trials) for _ in points]
+    for batch in batches:
+        for values, (delta, dd) in zip(out, points):
+            values[batch.trials] = reduce(evaluate(batch, float(delta), float(dd)))
+    return out
+
+
+def _budget(cfg: ScenarioConfig, buffer_db: float | None) -> float:
+    return interference_threshold(cfg.buffer_dB if buffer_db is None else buffer_db, cfg.noise_power)
+
+
+def _evaluate_trial(cfg: ScenarioConfig, consts: PowerConstants, trial_index: int) -> Evaluation:
+    return evaluate(draw_trials(cfg, consts, [trial_index]), cfg.delta_grid, cfg.D_d)
+
+
 def draw_candidates(
     cfg: ScenarioConfig, consts: PowerConstants, trial_index: int
 ) -> TrialCandidates:
-    """Draw one trial's geometry, shadowing, and map estimates."""
-    place_stream = derive_stream(cfg.master_seed, trial_index, _PLACE_TAG)
-    shadow_stream = derive_stream(cfg.master_seed, trial_index, _SHADOW_TAG)
-    rem_stream = derive_stream(cfg.master_seed, trial_index, _REM_TAG)
-
-    placement: Placement = sample_placement(place_stream, cfg)
-    n = len(placement.crs)
-
-    shadows = sample_shadows(shadow_stream, n, cfg.sigma_dB) if n else np.empty(0)
-    shadow_pu = sample_shadows(shadow_stream, 1, cfg.sigma_dB)[0]
-
-    r_true = np.hypot(placement.crs[:, 0], placement.crs[:, 1]) if n else np.empty(0)
-    true_powers = consts.cr * np.exp(shadows) * r_true ** (-cfg.gamma_pl) if n else np.empty(0)
-
-    est_powers, _, _, clamped = estimate_links(
-        rem_stream,
-        consts.cr,
-        cfg.gamma_pl,
-        shadows,
-        placement.crs,
-        placement.crs_snapped,
-        placement.pu_rx,
-        placement.pu_rx_snapped,
-        cfg.D_d,
-        cfg.sigma_dB,
-        cfg.R0,
-    )
-
-    # Protected link, estimated through the same mechanism (transmitter and
-    # receiver cell displacements both decorrelate the map value).
-    r_pu = math.hypot(*placement.pu_tx)
-    s_true = consts.pu * math.exp(shadow_pu) * r_pu ** (-cfg.gamma_pl)
-    d_tx = math.hypot(
-        placement.pu_tx[0] - placement.pu_tx_snapped[0],
-        placement.pu_tx[1] - placement.pu_tx_snapped[1],
-    )
-    d_rx = math.hypot(*placement.pu_rx_snapped)
-    rho_pu = float(gudmundson_correlation(d_tx, d_rx, cfg.D_d))
-    fresh_pu = sample_shadows(rem_stream, 1, cfg.sigma_dB)[0]
-    shadow_pu_est = rho_pu * shadow_pu + math.sqrt(1.0 - rho_pu * rho_pu) * fresh_pu
-    r_pu_hat = math.hypot(
-        placement.pu_tx_snapped[0] - placement.pu_rx_snapped[0],
-        placement.pu_tx_snapped[1] - placement.pu_rx_snapped[1],
-    )
-    if r_pu_hat == 0.0:
-        r_pu_hat = cfg.R0
-    s_est = consts.pu * math.exp(shadow_pu_est) * r_pu_hat ** (-cfg.gamma_pl)
-
-    order = np.argsort(est_powers, kind="stable")
-    return TrialCandidates(
-        est_sorted=est_powers[order],
-        true_sorted=true_powers[order],
-        s_true=s_true,
-        s_est=s_est,
-        n_active=n,
-        clamped=clamped,
-    )
+    """One trial's candidate links at the configured grid and decorrelation."""
+    return _evaluate_trial(cfg, consts, trial_index).candidates(0)
 
 
 def trial_profile(
@@ -118,17 +302,7 @@ def trial_profile(
     buffer_db: float | None = None,
 ) -> InterferenceProfile:
     """Admitted profile of one trial for the given (or configured) buffer."""
-    cands = draw_candidates(cfg, consts, trial_index)
-    budget = interference_threshold(
-        cfg.buffer_dB if buffer_db is None else buffer_db, cfg.noise_power
-    )
-    k = _admit_prefix(cands.est_sorted, budget)
-    return InterferenceProfile(
-        weights=cands.true_sorted[:k],
-        est_weights=cands.est_sorted[:k],
-        s_true=cands.s_true,
-        s_est=cands.s_est,
-    )
+    return _evaluate_trial(cfg, consts, trial_index).profiles(_budget(cfg, buffer_db))[0]
 
 
 def degradation_samples(
@@ -140,16 +314,11 @@ def degradation_samples(
     """Realized degradation (dB) over independent trials."""
     if consts is None:
         consts = calibrate(cfg)
-    budget = interference_threshold(
-        cfg.buffer_dB if buffer_db is None else buffer_db, cfg.noise_power
-    )
-    out = np.empty(n_trials)
-    for i in range(n_trials):
-        cands = draw_candidates(cfg, consts, i)
-        k = _admit_prefix(cands.est_sorted, budget)
-        total = float(np.sum(cands.true_sorted[:k]))
-        out[i] = 10.0 * math.log10((total + cfg.noise_power) / cfg.noise_power)
-    return out
+    budget = _budget(cfg, buffer_db)
+    return sweep(
+        trial_batches(cfg, consts, n_trials), n_trials, [(cfg.delta_grid, cfg.D_d)],
+        lambda ev: ev.degradation(budget),
+    )[0]
 
 
 def critical_budgets(
@@ -166,12 +335,8 @@ def critical_budgets(
     """
     if consts is None:
         consts = calibrate(cfg)
-    true_cap = interference_threshold(cfg.buffer_dB, cfg.noise_power)
-    out = np.empty(n_trials)
-    for i in range(n_trials):
-        cands = draw_candidates(cfg, consts, i)
-        cum_est = np.cumsum(cands.est_sorted)
-        cum_true = np.cumsum(cands.true_sorted)
-        bad = np.nonzero(cum_true > true_cap)[0]
-        out[i] = cum_est[bad[0]] if len(bad) else math.inf
-    return out
+    true_cap = _budget(cfg, None)
+    return sweep(
+        trial_batches(cfg, consts, n_trials), n_trials, [(cfg.delta_grid, cfg.D_d)],
+        lambda ev: ev.critical_budgets(true_cap),
+    )[0]

@@ -10,8 +10,6 @@ a summary dict of scalar findings.
 
 from __future__ import annotations
 
-import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +17,9 @@ import numpy as np
 from remcr import lcr as lcrmod
 from remcr.allocation import select_extreme_profiles
 from remcr.channel import PowerConstants, calibrate
-from remcr.engine import critical_budgets, degradation_samples, trial_profile
+from remcr.engine import evaluate, sweep, trial_batches
 from remcr.fadingsim import EmpiricalCurve, count_crossings, merge_counted, generate_fading
-from remcr.scenario import ScenarioConfig, derive_stream
+from remcr.scenario import ConfigError, ScenarioConfig, derive_stream, interference_threshold
 
 __all__ = [
     "StudyTable",
@@ -79,12 +77,15 @@ def study_cdf(
     """
     if consts is None:
         consts = calibrate(cfg)
+    budget = interference_threshold(cfg.buffer_dB, cfg.noise_power)
+    per_delta = sweep(
+        trial_batches(cfg, consts, n_trials), n_trials,
+        [(delta, cfg.D_d) for delta in grid_sizes], lambda ev: ev.degradation(budget),
+    )
     rows: list[tuple] = []
     p3: dict[str, float] = {}
     pbuf: dict[str, float] = {}
-    for delta in grid_sizes:
-        sub = dataclasses.replace(cfg, delta_grid=float(delta))
-        samples = degradation_samples(sub, n_trials, consts)
+    for delta, samples in zip(grid_sizes, per_delta):
         top = max(float(np.max(samples)), cfg.buffer_dB)
         grid = np.round(np.arange(0.0, top + 0.1, 0.05), 10)
         sorted_s = np.sort(samples)
@@ -119,14 +120,22 @@ def study_grid_tradeoff(
     the largest delta whose exceedance probability of buffer+extra stays at
     or below 5 percent.  A result equal to delta_cap means the constraint
     never bound inside the search range.
+
+    The trials are drawn once, and each (D_d, delta) the bisections visit is
+    evaluated once; the extra-buffer levels share those samples.
     """
     if consts is None:
         consts = calibrate(cfg)
+    budget = interference_threshold(cfg.buffer_dB, cfg.noise_power)
+    batches = list(trial_batches(cfg, consts, n_trials))
+    samples: dict[tuple[float, int], np.ndarray] = {}
 
     def exceed(dd: float, delta: int, level_db: float) -> float:
-        sub = dataclasses.replace(cfg, D_d=float(dd), delta_grid=float(delta))
-        samples = degradation_samples(sub, n_trials, consts)
-        return float(np.mean(samples > level_db))
+        if (dd, delta) not in samples:
+            samples[dd, delta] = sweep(
+                batches, n_trials, [(delta, dd)], lambda ev: ev.degradation(budget)
+            )[0]
+        return float(np.mean(samples[dd, delta] > level_db))
 
     rows: list[tuple] = []
     for dd in dd_list:
@@ -163,20 +172,24 @@ def study_backoff(
     that P(realized degradation > cfg.buffer_dB) <= 0.01 when the allocator
     admits against b.  Because greedy admission is a prefix rule, one pass of
     per-trial critical budgets answers every candidate b at once; scanning
-    the grid reproduces the bisection limit exactly.
+    the grid reproduces the bisection limit exactly.  The trials are drawn
+    once for all (D_d, delta) pairs.
     """
     if consts is None:
         consts = calibrate(cfg)
     grid_b = np.round(np.arange(0.0, cfg.buffer_dB + 1e-9, 0.01), 10)
     budgets = cfg.noise_power * (10.0 ** (grid_b / 10.0) - 1.0)
+    true_cap = interference_threshold(cfg.buffer_dB, cfg.noise_power)
+    pairs = [(float(dd), float(delta)) for dd in dd_list for delta in delta_list]
+    per_pair = sweep(
+        trial_batches(cfg, consts, n_trials), n_trials,
+        [(delta, dd) for dd, delta in pairs], lambda ev: ev.critical_budgets(true_cap),
+    )
     rows: list[tuple] = []
-    for dd in dd_list:
-        for delta in delta_list:
-            sub = dataclasses.replace(cfg, D_d=float(dd), delta_grid=float(delta))
-            crits = np.sort(critical_budgets(sub, n_trials, consts))
-            viol = np.searchsorted(crits, budgets, side="right") / n_trials
-            feasible = np.nonzero(viol <= 0.01)[0]
-            rows.append((float(dd), float(delta), float(grid_b[feasible[-1]])))
+    for (dd, delta), crits in zip(pairs, per_pair):
+        viol = np.searchsorted(np.sort(crits), budgets, side="right") / n_trials
+        feasible = np.nonzero(viol <= 0.01)[0]
+        rows.append((dd, delta, float(grid_b[feasible[-1]])))
     return StudyTable(
         headers=("dd_m", "delta_m", "buffer_star_db"),
         rows=tuple(rows),
@@ -212,8 +225,19 @@ def _lcr_aed_tables(
     """Shared pipeline behind study_lcr and study_aed."""
     if consts is None:
         consts = calibrate(cfg)
-    profiles = [trial_profile(cfg, consts, i) for i in range(n_profile_trials)]
-    dominant, no_dominant = select_extreme_profiles(profiles)
+    budget = interference_threshold(cfg.buffer_dB, cfg.noise_power)
+    profiles = [
+        prof
+        for batch in trial_batches(cfg, consts, n_profile_trials)
+        for prof in evaluate(batch, cfg.delta_grid, cfg.D_d).profiles(budget)
+    ]
+    try:
+        dominant, no_dominant = select_extreme_profiles(profiles)
+    except ValueError as exc:
+        raise ConfigError(
+            f"{exc}: the {n_profile_trials} profile trials admit a transmitter in "
+            f"{sum(len(p) > 0 for p in profiles)}; raise cr_density, activity_p or the trial count"
+        ) from None
     k_db = cfg.K_dB if cfg.K_dB is not None else RICIAN_K_DB_DEFAULT
     k_factor = 10.0 ** (k_db / 10.0)
     thr_db, thr_lin = lcrmod.default_threshold_grid(cfg.noise_power)

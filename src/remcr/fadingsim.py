@@ -19,17 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from remcr.channel import PowerConstants
-from remcr.engine import degradation_samples
-from remcr.scenario import ScenarioConfig
-
 __all__ = [
     "FadingSeries",
     "EmpiricalCurve",
     "generate_fading",
     "count_crossings",
     "merge_counted",
-    "empirical_degradation_cdf",
 ]
 
 OSCILLATORS = 32  # per quadrature component per path
@@ -51,14 +46,13 @@ class EmpiricalCurve:
 
     rates are upcrossings per second, fractions the time share spent above
     each threshold, aeds their ratio (NaN where no crossing was seen).  The
-    identity rates * aeds = fractions holds exactly by construction.  For
-    degradation CDFs only thresholds/fractions are populated.
+    identity rates * aeds = fractions holds exactly by construction.
     """
 
     thresholds: np.ndarray
     fractions: np.ndarray
-    rates: np.ndarray | None = None
-    aeds: np.ndarray | None = None
+    rates: np.ndarray
+    aeds: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -194,23 +188,3 @@ def merge_counted(curves: list[EmpiricalCurve], duration_each: float) -> Empiric
         aeds = np.where(total_counts > 0, fractions * total_time / total_counts, math.nan)
     return EmpiricalCurve(thresholds=t, fractions=fractions, rates=rates, aeds=aeds)
 
-
-def empirical_degradation_cdf(
-    cfg: ScenarioConfig,
-    n_trials: int,
-    consts: PowerConstants | None = None,
-) -> EmpiricalCurve:
-    """Empirical CDF of the realized degradation over admission trials.
-
-    Thresholds are a 0.05 dB grid from 0 dB to just past the worst observed
-    degradation; fractions hold the exceedance probability P(degradation >
-    threshold), so the CDF is one minus them.
-    """
-    if n_trials < 1:
-        raise ValueError("need at least one trial")
-    samples = degradation_samples(cfg, n_trials, consts)
-    top = max(float(np.max(samples)), cfg.buffer_dB)
-    grid = np.round(np.arange(0.0, top + 0.1, 0.05), 10)
-    sorted_s = np.sort(samples)
-    above = len(samples) - np.searchsorted(sorted_s, grid, side="right")
-    return EmpiricalCurve(thresholds=grid, fractions=above / len(samples))

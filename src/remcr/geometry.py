@@ -51,7 +51,7 @@ def snap_to_grid(p: Point, delta: float) -> Point:
 
 
 def snap_points(xy: np.ndarray, delta: float) -> np.ndarray:
-    """Vectorized snap_to_grid over an (n, 2) array of positions."""
+    """Vectorized snap_to_grid over an (..., 2) array of positions."""
     if delta < 0.0:
         raise ValueError("grid size must be non-negative")
     xy = np.asarray(xy, dtype=float)
@@ -83,7 +83,10 @@ def sample_annulus_points(
     rr = stream.uniform(r_inner * r_inner, r_outer * r_outer, size=n)
     ang = stream.uniform(0.0, 2.0 * math.pi, size=n)
     r = np.sqrt(rr)
-    return np.column_stack((r * np.cos(ang), r * np.sin(ang)))
+    xy = np.empty((n, 2))
+    np.multiply(r, np.cos(ang), out=xy[:, 0])
+    np.multiply(r, np.sin(ang), out=xy[:, 1])
+    return xy
 
 
 def cr_population(density_per_km2: float, coverage_radius_m: float) -> int:
@@ -119,16 +122,14 @@ class Placement:
     """One trial's transmitter geometry.
 
     crs holds the active secondary transmitters as an (n, 2) array; the
-    protected receiver sits at the origin.  Snapped counterparts are the
-    positions the discretized map attributes to each node.
+    protected receiver sits at the origin.  The positions the discretized
+    map attributes to each node depend on the grid size and are taken with
+    snap_points where the map is read (remcr.engine.evaluate).
     """
 
     pu_rx: Point
     pu_tx: Point
     crs: np.ndarray
-    pu_rx_snapped: Point
-    pu_tx_snapped: Point
-    crs_snapped: np.ndarray
 
 
 def sample_placement(stream: np.random.Generator, cfg: ScenarioConfig) -> Placement:
@@ -141,12 +142,4 @@ def sample_placement(stream: np.random.Generator, cfg: ScenarioConfig) -> Placem
     pu_tx = sample_annulus_point(stream, cfg.R0, cfg.R)
     n_active = sample_cr_count(stream, cfg.cr_density, cfg.R, cfg.activity_p)
     crs = sample_annulus_points(stream, n_active, cfg.R0, cfg.R)
-    delta = cfg.delta_grid
-    return Placement(
-        pu_rx=pu_rx,
-        pu_tx=pu_tx,
-        crs=crs,
-        pu_rx_snapped=snap_to_grid(pu_rx, delta),
-        pu_tx_snapped=snap_to_grid(pu_tx, delta),
-        crs_snapped=snap_points(crs, delta),
-    )
+    return Placement(pu_rx=pu_rx, pu_tx=pu_tx, crs=crs)

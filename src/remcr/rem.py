@@ -72,8 +72,8 @@ def estimate_link(
 
 
 def estimate_links(
-    stream: np.random.Generator,
-    power_const: float,
+    fresh: np.ndarray,
+    power_const: float | np.ndarray,
     pathloss_exp: float,
     shadows_true: np.ndarray,
     true_xy: np.ndarray,
@@ -81,25 +81,28 @@ def estimate_links(
     receiver_true: Point,
     receiver_snapped: Point,
     decorr_m: float,
-    sigma_db: float,
     min_distance_m: float,
 ):
-    """Vector form of estimate_link over n links sharing one receiver.
+    """Vector form of estimate_link over links sharing one receiver.
 
-    Returns (power_est, rho, grid_distance, clamped_count).  One fresh
-    shadowing draw is consumed per link, in link order.
+    Positions have shape (..., 2) and shadows_true the matching shape (...),
+    so a padded block of trials is one call; power_const is a scalar or
+    broadcasts against the links.  fresh holds one shadowing draw per link
+    (sample_shadows), which makes the estimate a pure function of the
+    draws.  Returns (power_est, rho, grid_distance, clamped), clamped
+    being the boolean mask of links whose cell-center distance was zero.
     """
     true_xy = np.asarray(true_xy, dtype=float)
     snapped_xy = np.asarray(snapped_xy, dtype=float)
-    n = len(shadows_true)
-    d_tx = np.hypot(*(true_xy - snapped_xy).T) if n else np.empty(0)
-    d_rx = distance(receiver_true, receiver_snapped)
-    rho = gudmundson_correlation(d_tx, np.full(n, d_rx), decorr_m) if n else np.empty(0)
-    fresh = sample_shadows(stream, n, sigma_db) if n else np.empty(0)
+    disp = true_xy - snapped_xy
+    d_tx = np.hypot(disp[..., 0], disp[..., 1])
+    # the receiver's factor, computed once and broadcast over the links
+    d_rx = np.full(1, distance(receiver_true, receiver_snapped))
+    rho = gudmundson_correlation(d_tx, d_rx, decorr_m)
     shadow_est = rho * shadows_true + np.sqrt(1.0 - rho * rho) * fresh
-    rx = np.asarray(receiver_snapped, dtype=float)
-    r_hat = np.hypot(*(snapped_xy - rx).T) if n else np.empty(0)
+    grid = snapped_xy - np.asarray(receiver_snapped, dtype=float)
+    r_hat = np.hypot(grid[..., 0], grid[..., 1])
     clamped = r_hat == 0.0
     r_hat = np.where(clamped, min_distance_m, r_hat)
-    power_est = power_const * np.exp(shadow_est) * r_hat ** (-pathloss_exp) if n else np.empty(0)
-    return power_est, rho, r_hat, int(np.count_nonzero(clamped))
+    power_est = power_const * np.exp(shadow_est) * r_hat ** (-pathloss_exp)
+    return power_est, rho, r_hat, clamped

@@ -10,6 +10,7 @@ outputs byte for byte.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import warnings
@@ -31,7 +32,8 @@ DB_TO_NAT = math.log(10.0) / 10.0
 
 
 class ConfigError(ValueError):
-    """Malformed scenario file or out-of-range parameter."""
+    """Malformed scenario file, out-of-range parameter, or a scenario a
+    study cannot run on."""
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,10 @@ class ScenarioConfig:
     master_seed: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if not (0.0 < self.R0 < self.Rc <= self.R):
             raise ConfigError("need 0 < R0 < Rc <= R")
         if self.sigma_dB <= 0.0:
@@ -129,9 +135,29 @@ def derive_stream(master_seed: int, trial_index: int, purpose: str) -> np.random
     """
     if trial_index < 0:
         raise ValueError("trial_index must be non-negative")
+    # The entropy is the list [master_seed mod 2**64, trial_index, tag] as
+    # SeedSequence reads it: each integer as 32-bit words, least significant
+    # first.  Handing over those words as a uint32 array gives the same
+    # stream and skips the slow coercion of a list of Python ints.
+    words = _words(master_seed & 0xFFFFFFFFFFFFFFFF) + _words(trial_index) + _purpose_words(purpose)
+    return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
+
+
+def _words(value: int) -> list[int]:
+    """A non-negative integer as SeedSequence splits it: 32-bit words,
+    least significant first, at least one."""
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
+
+
+@functools.lru_cache(maxsize=256)
+def _purpose_words(purpose: str) -> list[int]:
     tag = int.from_bytes(hashlib.sha256(purpose.encode("utf-8")).digest()[:8], "little")
-    seq = np.random.SeedSequence(entropy=[master_seed & 0xFFFFFFFFFFFFFFFF, trial_index, tag])
-    return np.random.default_rng(seq)
+    return _words(tag)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}

@@ -137,3 +137,11 @@ class TestCalibration:
     def test_reproducible(self, base_cfg, consts):
         again = calibrate(base_cfg)
         assert again == consts
+
+    @pytest.mark.parametrize("n_samples", (10_000, 200_000))
+    def test_calibrate_equals_the_two_calls(self, base_cfg, n_samples):
+        cfg = dataclasses.replace(base_cfg, sigma_dB=6.0, noise_power=3.0)
+        pu = calibrate_pu_power(cfg, n_samples)
+        cr = calibrate_cr_power(cfg, pu, n_samples)
+        got = calibrate(cfg, n_samples)
+        assert (got.pu, got.cr) == (pu, cr)

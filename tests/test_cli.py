@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -97,6 +98,25 @@ class TestExitCodes:
         assert "fit failure" in err
         assert "weights" in err
 
+    @pytest.mark.parametrize("line", ["sigma_dB = nan", "R = inf", "buffer_dB = -inf", "K_dB = nan"])
+    def test_non_finite_config_value(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = _capture(["cdf", "--config", str(cfg), "--trials", "20"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "must be finite" in err
+
+    @pytest.mark.parametrize("study", ["lcr", "aed"])
+    def test_no_admitted_profiles(self, tmp_path, capsys, study):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("cr_density = 0\n")
+        code, out, err = _capture([study, "--config", str(cfg), "--trials", "20"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: need at least two non-empty profiles")
+        assert "admit a transmitter in 0" in err
+
     def test_validate_passes(self, capsys):
         code, out, _ = _capture(["validate"], capsys)
         assert code == 0
@@ -127,3 +147,27 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "delta_m,degradation_db,cdf"
+
+
+class TestGoldenOutput:
+    """SHA-256 of the CSV output at the sizes of acceptance criterion 10.
+
+    The digests pin every printed digit of the admission studies; any change
+    to the draws, the map estimate, the admission order or the rounding of a
+    reduction shows here.
+    """
+
+    DIGESTS = {
+        "cdf": ("120", "24e346c35d379f79c5a5c4ac45874b1a24dfa649da7a3a890a0ef2aa10e97e2e"),
+        "grid-tradeoff": ("60", "87892d95dd54c778566ae7e7d67d8e262f7f76b8175ef33d4ac825038b44cede"),
+        "backoff": ("150", "6d808a317c80d196a59a136516fde6dcc7be3ef646e3303828321a38b570673a"),
+    }
+
+    @pytest.mark.parametrize("study", sorted(DIGESTS))
+    def test_csv_digest(self, tmp_path, study):
+        trials, digest = self.DIGESTS[study]
+        cfg = tmp_path / "plain.cfg"
+        cfg.write_text("master_seed = 7\n")
+        out = tmp_path / "out.csv"
+        assert run([study, "--config", str(cfg), "--trials", trials, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

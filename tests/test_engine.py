@@ -1,14 +1,118 @@
 import dataclasses
+import math
 
 import numpy as np
+import pytest
 
+from remcr.channel import DB_TO_NAT, gudmundson_correlation
 from remcr.engine import (
+    TRIAL_BLOCK,
     critical_budgets,
     degradation_samples,
     draw_candidates,
+    draw_trials,
+    evaluate,
     trial_profile,
 )
-from remcr.scenario import interference_threshold
+from remcr.geometry import sample_placement, snap_points, snap_to_grid
+from remcr.scenario import ScenarioConfig, derive_stream, interference_threshold
+
+
+def _one_trial(cfg, consts, trial_index):
+    """One trial drawn and estimated link by link on its own, the way the
+    engine did before trials were batched: the oracle for bit-for-bit checks.
+
+    Returns (est_sorted, true_sorted, clamped, degradation_db, critical).
+    """
+    place = derive_stream(cfg.master_seed, trial_index, "place")
+    shadow = derive_stream(cfg.master_seed, trial_index, "shadow")
+    rem = derive_stream(cfg.master_seed, trial_index, "rem")
+    placement = sample_placement(place, cfg)
+    crs = placement.crs
+    n = len(crs)
+    shadows = DB_TO_NAT * shadow.normal(0.0, cfg.sigma_dB, size=n) if n else np.empty(0)
+    true = consts.cr * np.exp(shadows) * np.hypot(crs[:, 0], crs[:, 1]) ** (-cfg.gamma_pl)
+    snapped = snap_points(crs, cfg.delta_grid)
+    rx = snap_to_grid((0.0, 0.0), cfg.delta_grid)
+    d_tx = np.hypot(*(crs - snapped).T) if n else np.empty(0)
+    rho = gudmundson_correlation(d_tx, np.full(n, math.hypot(*rx)), cfg.D_d)
+    fresh = DB_TO_NAT * rem.normal(0.0, cfg.sigma_dB, size=n) if n else np.empty(0)
+    shadow_est = rho * shadows + np.sqrt(1.0 - rho * rho) * fresh
+    r_hat = np.hypot(*(snapped - np.asarray(rx)).T) if n else np.empty(0)
+    clamped = r_hat == 0.0
+    r_hat = np.where(clamped, cfg.R0, r_hat)
+    est = consts.cr * np.exp(shadow_est) * r_hat ** (-cfg.gamma_pl)
+    order = np.argsort(est, kind="stable")
+    est, true = est[order], true[order]
+
+    budget = interference_threshold(cfg.buffer_dB, cfg.noise_power)
+    k = int(np.searchsorted(np.cumsum(est), budget, side="right")) if n else 0
+    total = float(np.sum(true[:k]))
+    degradation = 10.0 * math.log10((total + cfg.noise_power) / cfg.noise_power)
+    bad = np.nonzero(np.cumsum(true) > budget)[0]
+    critical = float(np.cumsum(est)[bad[0]]) if len(bad) else math.inf
+    return est, true, int(np.count_nonzero(clamped)), degradation, critical
+
+
+def _assert_matches_one_trial(cfg, consts, trials):
+    """evaluate over one batch of the trials equals each trial on its own,
+    through the oracle and through draw_candidates, bit for bit."""
+    budget = interference_threshold(cfg.buffer_dB, cfg.noise_power)
+    ev = evaluate(draw_trials(cfg, consts, trials), cfg.delta_grid, cfg.D_d)
+    degradation = ev.degradation(budget)
+    critical = ev.critical_budgets(budget)
+    clamped = 0
+    for row, i in enumerate(trials):
+        est, true, n_clamped, deg, crit = _one_trial(cfg, consts, i)
+        for cands in (ev.candidates(row), draw_candidates(cfg, consts, i)):
+            assert np.array_equal(cands.est_sorted, est)
+            assert np.array_equal(cands.true_sorted, true)
+            assert cands.n_active == len(est)
+            assert cands.clamped == n_clamped
+        assert degradation[row] == deg
+        assert critical[row] == crit
+        clamped += n_clamped
+    return clamped
+
+
+class TestBatchEquivalence:
+    @pytest.mark.parametrize("D_d", (50.0, 200.0))
+    @pytest.mark.parametrize("delta", (0.0, 1.0, 25.0, 100.0, 400.0))
+    def test_batch_matches_one_trial(self, base_cfg, consts, delta, D_d):
+        cfg = dataclasses.replace(base_cfg, delta_grid=delta, D_d=D_d)
+        clamped = _assert_matches_one_trial(cfg, consts, range(2 * TRIAL_BLOCK + 3))
+        if delta == 400.0:
+            # the receiver's cell is 400 m wide: transmitters in it snap
+            # onto the receiver and their distance is clamped
+            assert clamped > 0
+
+    def test_sparse_trials_with_no_transmitter(self, consts):
+        cfg = ScenarioConfig(cr_density=1.0, delta_grid=25.0)  # 3 transmitters
+        counts = draw_trials(cfg, consts, range(40)).counts
+        assert np.any(counts == 0) and np.any(counts > 0)
+        _assert_matches_one_trial(cfg, consts, range(40))
+
+    def test_block_without_any_transmitter(self, consts):
+        cfg = ScenarioConfig(cr_density=0.0, delta_grid=25.0)
+        ev = evaluate(draw_trials(cfg, consts, range(5)), 25.0, cfg.D_d)
+        budget = interference_threshold(cfg.buffer_dB, cfg.noise_power)
+        assert ev.est_sorted.shape == (5, 0)
+        assert np.array_equal(ev.degradation(budget), np.zeros(5))
+        assert np.all(np.isinf(ev.critical_budgets(budget)))
+        assert [len(p) for p in ev.profiles(budget)] == [0] * 5
+
+    def test_studies_match_one_trial_across_blocks(self, base_cfg, consts):
+        cfg = dataclasses.replace(base_cfg, delta_grid=50.0)
+        n = 2 * TRIAL_BLOCK + 5
+        oracle = [_one_trial(cfg, consts, i) for i in range(n)]
+        assert np.array_equal(degradation_samples(cfg, n, consts), [o[3] for o in oracle])
+        assert np.array_equal(critical_budgets(cfg, n, consts), [o[4] for o in oracle])
+
+    def test_draws_independent_of_the_sweep_point(self, base_cfg, consts):
+        a = draw_trials(dataclasses.replace(base_cfg, delta_grid=100.0, D_d=50.0), consts, [4, 9])
+        b = draw_trials(base_cfg, consts, [4, 9])
+        for name in ("counts", "xy", "shadows", "fresh", "true_powers"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 class TestDrawCandidates:

@@ -1,7 +1,9 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
+from remcr import engine
 from remcr import experiments as exp
 
 
@@ -28,6 +30,16 @@ class TestStudyCdf:
         assert np.all(np.diff(cdf) >= -1e-15)
         assert cdf[-1] == 1.0
 
+    def test_perfect_map_saturates_at_buffer(self, base_cfg, consts):
+        # the buffer threshold is on the grid, and with a perfect map the
+        # degradation exceeds it with probability 0
+        tab = exp.study_cdf(base_cfg, grid_sizes=(0.0,), n_trials=200, consts=consts)
+        thresholds = np.array([r[1] for r in tab.rows])
+        cdf = np.array([r[2] for r in tab.rows])
+        at_buffer = np.searchsorted(thresholds, base_cfg.buffer_dB)
+        assert thresholds[at_buffer] == base_cfg.buffer_dB
+        assert cdf[at_buffer] == 1.0
+
     def test_perfect_map_never_exceeds_buffer(self, base_cfg, consts):
         tab = exp.study_cdf(base_cfg, grid_sizes=(0.0,), n_trials=150, consts=consts)
         assert tab.summary["p_exceed_buffer"]["0"] == 0.0
@@ -36,6 +48,36 @@ class TestStudyCdf:
         a = exp.study_cdf(base_cfg, grid_sizes=(50.0,), n_trials=60, consts=consts)
         b = exp.study_cdf(base_cfg, grid_sizes=(50.0,), n_trials=60, consts=consts)
         assert a == b
+
+
+class TestDrawOnce:
+    """Each study draws every trial once, however many sweep points it
+    evaluates."""
+
+    @pytest.fixture()
+    def drawn(self, monkeypatch):
+        trials = []
+        draw = engine.draw_trials
+
+        def counting(cfg, consts, block):
+            block = list(block)
+            trials.extend(block)
+            return draw(cfg, consts, block)
+
+        monkeypatch.setattr(engine, "draw_trials", counting)
+        return trials
+
+    def test_grid_tradeoff(self, base_cfg, consts, drawn):
+        exp.study_grid_tradeoff(base_cfg, n_trials=25, consts=consts)
+        assert sorted(drawn) == list(range(25))
+
+    def test_backoff(self, base_cfg, consts, drawn):
+        exp.study_backoff(base_cfg, n_trials=25, consts=consts)
+        assert sorted(drawn) == list(range(25))
+
+    def test_cdf(self, base_cfg, consts, drawn):
+        exp.study_cdf(base_cfg, n_trials=25, consts=consts)
+        assert sorted(drawn) == list(range(25))
 
 
 class TestStudyGridTradeoff:

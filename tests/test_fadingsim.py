@@ -8,7 +8,6 @@ from scipy import special
 from remcr.fadingsim import (
     FadingSeries,
     count_crossings,
-    empirical_degradation_cdf,
     generate_fading,
     merge_counted,
 )
@@ -119,13 +118,6 @@ class TestMergeCounted:
 
 
 class TestDegradationCdf:
-    def test_perfect_map_saturates_at_buffer(self, base_cfg, consts):
-        curve = empirical_degradation_cdf(base_cfg, 200, consts)
-        at_buffer = np.searchsorted(curve.thresholds, base_cfg.buffer_dB)
-        assert curve.thresholds[at_buffer] == base_cfg.buffer_dB
-        # fractions hold P(degradation > threshold)
-        assert curve.fractions[at_buffer] == 0.0
-
     def test_small_grid_rarely_exceeds_three_db(self, base_cfg, consts):
         cfg = dataclasses.replace(base_cfg, delta_grid=1.0)
         samples = degradation_samples(cfg, 400, consts)

@@ -47,12 +47,12 @@ class TestEstimateLink:
         shadows = sample_shadows(np.random.default_rng(23), n, 8.0)
         # displacements huge compared to the decorrelation distance
         est, rho, r_hat, clamped = estimate_links(
-            stream, 1.0, 3.5, shadows,
+            sample_shadows(stream, n, 8.0), 1.0, 3.5, shadows,
             true_xy=np.tile([5000.0, 0.0], (n, 1)),
             snapped_xy=np.tile([0.0, 0.0], (n, 1)),
             receiver_true=Point(0.0, -500.0),
             receiver_snapped=Point(0.0, -500.0),
-            decorr_m=100.0, sigma_db=8.0, min_distance_m=10.0,
+            decorr_m=100.0, min_distance_m=10.0,
         )
         assert np.allclose(rho, 0.5**50)
         shadow_est = np.log(est) + 3.5 * np.log(r_hat)
@@ -65,12 +65,12 @@ class TestEstimateLink:
         n = 100_000
         shadows = sample_shadows(np.random.default_rng(25), n, 8.0)
         est, rho, r_hat, clamped = estimate_links(
-            stream, 1.0, 3.5, shadows,
+            sample_shadows(stream, n, 8.0), 1.0, 3.5, shadows,
             true_xy=np.tile([400.0, 0.0], (n, 1)),
             snapped_xy=np.tile([300.0, 0.0], (n, 1)),
             receiver_true=Point(0.0, 100.0),
             receiver_snapped=Point(0.0, 0.0),
-            decorr_m=100.0, sigma_db=8.0, min_distance_m=10.0,
+            decorr_m=100.0, min_distance_m=10.0,
         )
         assert np.allclose(rho, 0.25)
         shadow_est = np.log(est) + 3.5 * np.log(r_hat)
@@ -83,8 +83,8 @@ class TestEstimateLink:
         snapped_xy = np.array([[225.0, 75.0], [125.0, -75.0], [75.0, 75.0], [375.0, 25.0], [75.0, -75.0]])
         rx_true, rx_snap = Point(0.0, 0.0), Point(25.0, 25.0)
         vec = estimate_links(
-            np.random.default_rng(27), 1.0, 3.5, shadows, true_xy, snapped_xy,
-            rx_true, rx_snap, 100.0, 8.0, 10.0,
+            sample_shadows(np.random.default_rng(27), 5, 8.0), 1.0, 3.5, shadows,
+            true_xy, snapped_xy, rx_true, rx_snap, 100.0, 10.0,
         )
         stream = np.random.default_rng(27)
         for i in range(5):
@@ -96,3 +96,28 @@ class TestEstimateLink:
             )
             assert math.isclose(one.power_est, vec[0][i], rel_tol=1e-12)
             assert math.isclose(one.rho, vec[1][i], rel_tol=1e-12)
+
+    def test_padded_block_and_clamp_mask(self):
+        # a (trials, links) block with per-link power constants: every entry
+        # equals the same link estimated alone
+        shadows = sample_shadows(np.random.default_rng(28), 6, 8.0).reshape(2, 3)
+        fresh = sample_shadows(np.random.default_rng(29), 6, 8.0).reshape(2, 3)
+        true_xy = np.array([[[200.0, 50.0], [30.0, 20.0], [-90.0, 400.0]],
+                            [[150.0, -80.0], [10.0, 12.0], [600.0, 0.0]]])
+        snapped_xy = np.array([[[225.0, 75.0], [25.0, 25.0], [-75.0, 425.0]],
+                               [[125.0, -75.0], [25.0, 25.0], [575.0, 25.0]]])
+        power_const = np.array([2.0, 1.0, 1.0])
+        rx_true, rx_snap = Point(0.0, 0.0), Point(25.0, 25.0)
+        est, rho, r_hat, clamped = estimate_links(
+            fresh, power_const, 3.5, shadows, true_xy, snapped_xy, rx_true, rx_snap, 100.0, 10.0,
+        )
+        assert est.shape == rho.shape == r_hat.shape == clamped.shape == (2, 3)
+        assert np.array_equal(clamped, [[False, True, False], [False, True, False]])
+        assert np.all(r_hat[clamped] == 10.0)
+        for i in range(2):
+            for j in range(3):
+                one = estimate_links(
+                    fresh[i, j:j + 1], power_const[j], 3.5, shadows[i, j:j + 1],
+                    true_xy[i, j:j + 1], snapped_xy[i, j:j + 1], rx_true, rx_snap, 100.0, 10.0,
+                )
+                assert math.isclose(one[0][0], est[i, j], rel_tol=1e-15)

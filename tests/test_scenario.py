@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -56,6 +57,18 @@ class TestDeriveStream:
         with pytest.raises(ValueError):
             derive_stream(42, -1, "shadow")
 
+    @pytest.mark.parametrize("seed", (0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, 2**70 + 3))
+    @pytest.mark.parametrize("trial", (0, 5, 2**32, 2**45 + 1))
+    def test_stream_is_seed_sequence_of_the_triple(self, seed, trial):
+        # the documented entropy: [seed mod 2**64, trial, first 8 bytes of
+        # SHA-256(purpose) as a little-endian integer]
+        for purpose in ("place", "shadow", ""):
+            tag = int.from_bytes(hashlib.sha256(purpose.encode()).digest()[:8], "little")
+            seq = np.random.SeedSequence(entropy=[seed & 0xFFFFFFFFFFFFFFFF, trial, tag])
+            want = np.random.default_rng(seq).integers(0, 2**63, size=8)
+            got = derive_stream(seed, trial, purpose).integers(0, 2**63, size=8)
+            assert np.array_equal(got, want)
+
 
 class TestScenarioValidation:
     def test_defaults_construct(self):
@@ -77,6 +90,16 @@ class TestScenarioValidation:
     def test_negative_grid_rejected(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(delta_grid=-1.0)
+
+    @pytest.mark.parametrize("name", ("R", "sigma_dB", "cr_density", "D_d", "buffer_dB", "K_dB"))
+    @pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            ScenarioConfig(**{name: value})
+
+    def test_non_finite_rejected_when_parsed(self):
+        with pytest.raises(ConfigError, match=r"mem: sigma_dB must be finite"):
+            parse_scenario("sigma_dB = nan\n", source="mem")
 
     def test_pathloss_warning_outside_usual_range(self):
         with pytest.warns(UserWarning):
