@@ -212,9 +212,21 @@ def ncx2_sf(x, dof: float, noncentrality: float, scale: float):
     """Survival function of the scaled noncentral chi-square above.
 
     Uses the Poisson mixture of central chi-square tails,
-        SF(x) = sum_j Pois(j; noncentrality/2) * Q(dof/2 + j, scale*x/2),
-    truncated once the remaining Poisson mass is below 1e-16, which bounds
-    the truncation error by the same amount since each Q term is <= 1.
+        SF(x) = sum_j w_j * Q(dof/2 + j, scale*x/2),  w_j = Pois(j; h),
+    h = noncentrality/2, summed from j = 0 upward.  Each Q term is <= 1, so
+    the truncation error is at most the Poisson mass left out.  The sum stops
+    at the first of:
+      - the float sum of the weights reaches 1 - 1e-16.  The weights come
+        from exp(log w_j) and carry a relative error of about
+        2.2e-16 * h * ln(h), so the mass left out is below about that much
+        (measured: 3.7e-14 at h = 103, 1.3e-11 at h = 1e4);
+      - past the mode (j > h) a weight underflows to 0.  The weights fall
+        from there on, w_{i+1}/w_i = h/(i+1), so the tail from j is at most
+        w_j / (1 - h/(j+1)): every later term is an exact 0.0 and the sum is
+        final.  This is the rule that ends the sum when the summed weights
+        stall short of 1 - 1e-16, as they do at about 1 - 7e-14 for h = 291;
+      - 100 001 terms, reached only for h near 1e5 or above, where the sum
+        is cut before the mode and the result is not bounded.
     Vectorized over x.
     """
     if dof <= 0.0 or scale <= 0.0 or noncentrality < 0.0:
@@ -231,10 +243,12 @@ def ncx2_sf(x, dof: float, noncentrality: float, scale: float):
         while mass < 1.0 - 1e-16:
             logw = -half + j * math.log(half) - _sp.gammaln(j + 1.0)
             w = math.exp(logw)
+            if w == 0.0 and j > half:
+                break
             out += w * _sp.gammaincc(0.5 * dof + j, y)
             mass += w
             j += 1
-            if j > 100000:  # unreachable for sane noncentrality; hard stop
+            if j > 100000:  # hard stop, see the docstring
                 break
     out = np.where(arr <= 0.0, 1.0, np.clip(out, 0.0, 1.0))
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out

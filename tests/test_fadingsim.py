@@ -6,7 +6,10 @@ import pytest
 from scipy import special
 
 from remcr.fadingsim import (
+    _BLOCK,
     FadingSeries,
+    _add_path_power,
+    _draw_path_params,
     count_crossings,
     generate_fading,
     merge_counted,
@@ -64,6 +67,54 @@ class TestGenerateFading:
         a = generate_fading(np.random.default_rng(7), [0.5], 0.0, 25.0, 1.0 / 1600.0, 16.0)
         b = generate_fading(np.random.default_rng(7), [0.5], 0.0, 25.0, 1.0 / 1600.0, 16.0)
         assert np.array_equal(a.samples, b.samples)
+
+
+def _direct_power(params, t):
+    """Squared envelope of one path as a float64 sum of cosines."""
+    norm = 1.0 / math.sqrt(len(params.omega_i))
+    comp_i = np.cos(np.outer(params.omega_i, t) + params.phase_i[:, None]).sum(axis=0) * norm
+    comp_q = np.cos(np.outer(params.omega_q, t) + params.phase_q[:, None]).sum(axis=0) * norm
+    re = params.los_i + params.scatter_amp * comp_i
+    im = params.los_q + params.scatter_amp * comp_q
+    return re * re + im * im
+
+
+def _path_power(params, n, dt, weight=1.0):
+    total = np.zeros(n)
+    _add_path_power(total, params, weight, dt, np.empty((2, -(-n // _BLOCK), _BLOCK)))
+    return total
+
+
+class TestPathPower:
+    @pytest.mark.parametrize("k", [0.0, 10.0])
+    def test_matches_float64_sum_of_cosines(self, k):
+        dt = 1.0 / 1600.0
+        n = 160 * _BLOCK - 13  # 16 s, angles to ~2500 rad; not a whole number of blocks
+        params = _draw_path_params(np.random.default_rng(60), k, 25.0)
+        expected = _direct_power(params, np.arange(n) * dt)
+        assert np.max(np.abs(_path_power(params, n, dt) - expected)) <= 1e-4
+        assert np.max(np.abs(_path_power(params, n, dt, weight=0.3) - 0.3 * expected)) <= 0.3e-4
+
+    def test_rician_path_keeps_its_line_of_sight_phasor(self):
+        k = 10.0
+        params = _draw_path_params(np.random.default_rng(62), k, 25.0)
+        assert math.isclose(params.los_i**2 + params.los_q**2, k / (k + 1.0), rel_tol=1e-12)
+        n = 160 * _BLOCK
+        with_los = _path_power(params, n, 1.0 / 1600.0)
+        scatter = _path_power(dataclasses.replace(params, los_i=0.0, los_q=0.0), n, 1.0 / 1600.0)
+        # |los + s|^2 - |s|^2 = |los|^2 + 2 Re(conj(los) s): the cross term
+        # averages out over 400 Doppler times, the phasor's power stays.
+        assert abs(np.mean(with_los - scatter) - k / (k + 1.0)) < 0.05
+
+    @pytest.mark.parametrize("k", [0.0, 10.0])
+    def test_generator_reads_one_path_draw_per_weight(self, k):
+        weights = [0.2, 0.5, 0.3]
+        used = np.random.default_rng(61)
+        generate_fading(used, weights, k, 25.0, 1.0 / 1600.0, 8.0)
+        ref = np.random.default_rng(61)
+        for _ in weights:
+            _draw_path_params(ref, k, 25.0)
+        assert used.bit_generator.state == ref.bit_generator.state
 
 
 class TestCountCrossings:

@@ -1,8 +1,12 @@
 import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
+from scipy import special
 
+from remcr import specfun
 from remcr.specfun import (
     bessel_j0,
     gamma_pdf,
@@ -111,3 +115,60 @@ class TestDensities:
         t = 6.0
         tail, _ = integrate.quad(lambda x: ncx2_pdf(x, 2.7, 3.1, 0.8), t, np.inf, limit=200)
         assert math.isclose(ncx2_sf(t, 2.7, 3.1, 0.8), tail, rel_tol=1e-8)
+
+
+# Rician (K = 10 dB) moment fit of the no_dominant extreme profile that
+# study_lcr draws at master seed 1: dof, noncentrality, scale.  Its
+# half-noncentrality, about 290.9, is one where the summed Poisson weights
+# stall short of 1 - 1e-16.
+STALLING_FIT = (845.0975571892866, 581.7601894174691, 2450.179024423665)
+
+
+def _ncx2_sf_mass_rule_only(x, dof, noncentrality, scale):
+    """ncx2_sf's Poisson sum with only its mass and 100 001-term stops."""
+    half = 0.5 * noncentrality
+    y = 0.5 * scale * np.maximum(np.asarray(x, dtype=float), 0.0)
+    out = np.zeros_like(y)
+    mass = 0.0
+    j = 0
+    while mass < 1.0 - 1e-16:
+        w = math.exp(-half + j * math.log(half) - special.gammaln(j + 1.0))
+        out += w * special.gammaincc(0.5 * dof + j, y)
+        mass += w
+        j += 1
+        if j > 100000:
+            break
+    return np.where(np.asarray(x) <= 0.0, 1.0, np.clip(out, 0.0, 1.0))
+
+
+class TestNcx2SfStoppingRule:
+    def test_same_result_as_the_sum_without_the_underflow_stop(self):
+        x = np.linspace(0.2, 1.6, 15)
+        assert np.array_equal(ncx2_sf(x, *STALLING_FIT), _ncx2_sf_mass_rule_only(x, *STALLING_FIT))
+
+    def test_stops_soon_after_the_weights_underflow(self, monkeypatch):
+        calls = []
+        gammaincc = special.gammaincc
+
+        def counted(a, y):
+            calls.append(a)
+            return gammaincc(a, y)
+
+        monkeypatch.setattr(specfun._sp, "gammaincc", counted)
+        ncx2_sf(np.linspace(0.2, 1.6, 15), *STALLING_FIT)
+        # w_j underflows past j = 1163 for h = 290.9; the old rule ran 100 001 terms
+        assert 0.5 * STALLING_FIT[1] < len(calls) <= 1200
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dof=st.floats(0.5, 1000.0),
+        noncentrality=st.floats(0.0, 700.0),
+        scale=st.floats(0.1, 5000.0),
+        factors=st.lists(st.floats(0.0, 4.0), min_size=2, max_size=12),
+    )
+    def test_in_unit_interval_and_nonincreasing(self, dof, noncentrality, scale, factors):
+        mean = (dof + noncentrality) / scale
+        x = mean * np.sort(factors)
+        sf = ncx2_sf(x, dof, noncentrality, scale)
+        assert np.all((sf >= 0.0) & (sf <= 1.0))
+        assert np.all(np.diff(sf) <= 0.0)
