@@ -6,7 +6,7 @@ M = 32 cosines with independent random arrival angles and phases, giving the
 classical zeroth-order-Bessel autocorrelation per component.  A Rician path
 adds a fixed line-of-sight phasor carrying K/(K+1) of the path power.  The
 sinusoids are evaluated block-wise on the uniform time grid by angle addition,
-as one small matrix product per path (see _add_path_power).
+as one small float32 matrix product of phasors per path (see generate_fading).
 
 Crossing counting is discrete: an upcrossing of level T happens at tick k
 when samples[k] < T <= samples[k+1].  No sub-sample interpolation is applied;
@@ -49,7 +49,8 @@ class EmpiricalCurve:
 
     rates are upcrossings per second, fractions the time share spent above
     each threshold, aeds their ratio (NaN where no crossing was seen).  The
-    identity rates * aeds = fractions holds exactly by construction.
+    identity rates * aeds = fractions holds by construction, up to the
+    rounding of the two divisions (a few ulp).
     """
 
     thresholds: np.ndarray
@@ -58,82 +59,28 @@ class EmpiricalCurve:
     aeds: np.ndarray
 
 
-@dataclass(frozen=True)
-class _PathParams:
-    """Frozen oscillator parameters of one path, reusable across time grids."""
+def _draw_profile(stream: np.random.Generator, n_paths: int, k_factor: float, doppler_hz: float):
+    """Oscillator draws of n_paths paths from one uniform call.
 
-    omega_i: np.ndarray
-    phase_i: np.ndarray
-    omega_q: np.ndarray
-    phase_q: np.ndarray
-    los_i: float
-    los_q: float
-    scatter_amp: float
-
-
-def _draw_path_params(stream: np.random.Generator, k_factor: float, doppler_hz: float) -> _PathParams:
-    def component():
-        angles = stream.uniform(0.0, 2.0 * math.pi, size=OSCILLATORS)
-        phases = stream.uniform(0.0, 2.0 * math.pi, size=OSCILLATORS)
-        return 2.0 * math.pi * doppler_hz * np.cos(angles), phases
-
-    omega_i, phase_i = component()
-    omega_q, phase_q = component()
-    if k_factor > 0.0:
-        los_phase = stream.uniform(0.0, 2.0 * math.pi)
-        los_amp = math.sqrt(k_factor / (1.0 + k_factor))
-        los_i = los_amp * math.cos(los_phase)
-        los_q = los_amp * math.sin(los_phase)
-        scatter_amp = math.sqrt(1.0 / (1.0 + k_factor))
-    else:
-        los_i = los_q = 0.0
-        scatter_amp = 1.0
-    return _PathParams(omega_i, phase_i, omega_q, phase_q, los_i, los_q, scatter_amp)
-
-
-def _add_path_power(
-    total: np.ndarray, params: _PathParams, weight: float, dt: float, field: np.ndarray
-) -> None:
-    """Add weight times the squared envelope of one unit-power path to total.
-
-    total holds the grid t = k * dt, k < n.  The grid is cut into blocks of
-    _BLOCK samples, t = t0_j + tau_m with t0_j = j * _BLOCK * dt and
-    tau_m = m * dt.  By angle addition, with -sin a = cos(a + pi/2) and
-    sin b = cos(b - pi/2),
-        cos(w t + phi) = cos(w t0_j + phi) cos(w tau_m)
-                         + cos(w t0_j + phi + pi/2) cos(w tau_m - pi/2),
-    so each quadrature component is one (blocks x 2M) @ (2M x _BLOCK) matrix
-    product, built from 2M (blocks + _BLOCK) cosines instead of M n.  The
-    angles are formed and reduced to [-pi, pi] in float64, the cosines run in
-    float32 and the product in float64, which keeps each sample within about
-    1e-6 of a float64 sum of cosines.  field is a float64 work array of shape
-    (2, blocks, _BLOCK), reused across paths so that no path allocates a
-    trace-length array.
+    Row p holds path p's I arrival angles and phases, then its Q ones, then
+    its line-of-sight phase if k_factor > 0: the order of one draw per path.
+    Returns the angular frequencies and phases, each (n_paths, 2, M), and the
+    line-of-sight phases, (n_paths, 1) or (n_paths, 0).
     """
-    n = len(total)
-    n_blocks = field.shape[1]
-    omega = np.tile(np.stack([params.omega_i, params.omega_q]), 2)
-    phase = np.tile(np.stack([params.phase_i, params.phase_q]), 2)
-    quarter = np.repeat([0.0, 0.5 * math.pi], OSCILLATORS)
-    block_starts = np.arange(n_blocks)[:, None] * (_BLOCK * dt)
-    offsets = np.arange(_BLOCK) * dt
-    heads = _cos32(block_starts * omega[:, None, :] + (phase + quarter)[:, None, :])  # (2, blocks, 2M)
-    tails = _cos32(omega[:, :, None] * offsets - quarter[:, None])  # (2, 2M, _BLOCK)
-    amp = math.sqrt(weight)
-    tails *= amp * params.scatter_amp / math.sqrt(OSCILLATORS)
-    np.matmul(heads, tails, out=field)
-    flat = field.reshape(2, -1)[:, :n]
-    flat[0] += amp * params.los_i
-    flat[1] += amp * params.los_q
-    np.square(flat, out=flat)
-    total += flat[0]
-    total += flat[1]
+    m = OSCILLATORS
+    draws = stream.uniform(0.0, _TWO_PI, size=(n_paths, 4 * m + (k_factor > 0.0)))
+    angles = draws[:, : 4 * m].reshape(n_paths, 2, 2, m)  # (path, I/Q, arrival/phase, M)
+    return _TWO_PI * doppler_hz * np.cos(angles[:, :, 0]), angles[:, :, 1], draws[:, 4 * m :]
 
 
-def _cos32(angles: np.ndarray) -> np.ndarray:
-    """Cosines of float64 angles, reduced in place to [-pi, pi] and taken in float32."""
-    angles -= _TWO_PI * np.rint(angles / _TWO_PI)
-    return np.cos(angles.astype(np.float32)).astype(float)
+def _phasors(angles: np.ndarray, scratch: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray) -> None:
+    """cos and sin of float64 angles, reduced in place to [-pi, pi] and taken in float32."""
+    np.multiply(angles, 1.0 / _TWO_PI, out=scratch)
+    np.rint(scratch, out=scratch)
+    scratch *= _TWO_PI
+    angles -= scratch
+    np.cos(angles, out=cos_out, dtype=np.float32, casting="same_kind")
+    np.sin(angles, out=sin_out, dtype=np.float32, casting="same_kind")
 
 
 def generate_fading(
@@ -150,10 +97,28 @@ def generate_fading(
     trace resolves individual fades and holds enough of them to be useful.
     Each path gets independent oscillator draws; per path the mean of the
     squared envelope is 1, so the aggregate mean is the weight sum.
+
+    All paths' oscillators come from one uniform draw (see _draw_profile).
+    The grid t = k * dt is cut into blocks of _BLOCK samples, t = t0_j + tau_m.
+    With x = w t0_j + phi and z = -w tau_m, angle addition gives
+        cos(w t + phi) = cos x cos z + sin x sin z,
+    so each quadrature component of a path is one float32
+    (blocks x 2M) @ (2M x _BLOCK) product of the phasors [cos x, sin x] and
+    [cos z, sin z]: M (blocks + _BLOCK) angles instead of M n.  The angles are
+    formed and reduced to [-pi, pi] in float64, so the error does not grow
+    with t.  The phasors, the product, the line-of-sight term and the squared
+    envelope are float32, and each path's power is added once into the
+    float64 trace.  A sample's error is then float32 rounding (2^-24
+    relative) of the 2M terms and of their sum, so it grows with the
+    envelope: a unit-power path over 16 s measured at most 5.1e-6 from a
+    float64 sum of cosines at K = 0 and 1.1e-6 at K = 10, and the tests hold
+    it within 1e-5.
     """
     weights = np.asarray(getattr(profile, "weights", profile), dtype=float)
-    if weights.ndim != 1 or len(weights) == 0 or np.any(weights <= 0.0):
-        raise ValueError("profile must hold positive weights")
+    if weights.ndim != 1 or len(weights) == 0 or not np.all(np.isfinite(weights) & (weights > 0.0)):
+        raise ValueError("profile must hold positive finite weights")
+    if not all(map(math.isfinite, (k_factor, doppler_hz, dt, duration))):
+        raise ValueError("k_factor, doppler_hz, dt and duration must be finite")
     if k_factor < 0.0:
         raise ValueError("k_factor must be non-negative")
     if doppler_hz <= 0.0 or dt <= 0.0:
@@ -162,12 +127,36 @@ def generate_fading(
         raise ValueError("dt too coarse: need dt * doppler_hz <= 1/32")
     if duration * doppler_hz < 200.0 - 1e-9:
         raise ValueError("duration too short: need duration * doppler_hz >= 200")
+    m = OSCILLATORS
+    omegas, phases, los_phases = _draw_profile(stream, len(weights), k_factor, doppler_hz)
     n = int(round(duration / dt))
+    n_blocks = -(-n // _BLOCK)
+    block_starts = (np.arange(n_blocks) * (_BLOCK * dt))[:, None]
+    offsets = np.arange(_BLOCK) * -dt
+    heads, tails = np.empty((2, n_blocks, 2 * m), np.float32), np.empty((2, 2 * m, _BLOCK), np.float32)
+    head_angles, tail_angles = np.empty((2, n_blocks, m)), np.empty((2, m, _BLOCK))
+    head_scratch, tail_scratch = np.empty_like(head_angles), np.empty_like(tail_angles)
+    field = np.empty((2, n_blocks, _BLOCK), np.float32)
+    power = np.empty(n, np.float32)
     total = np.zeros(n)
-    field = np.empty((2, -(-n // _BLOCK), _BLOCK))
-    for w in weights:
-        params = _draw_path_params(stream, k_factor, doppler_hz)
-        _add_path_power(total, params, w, dt, field)
+    scatter = 1.0 / math.sqrt(m * (1.0 + k_factor))
+    los_amp = math.sqrt(k_factor / (1.0 + k_factor))
+    for w, omega, phase, los_phase in zip(weights, omegas, phases, los_phases):
+        np.multiply(omega[:, None, :], block_starts, out=head_angles)
+        head_angles += phase[:, None, :]
+        _phasors(head_angles, head_scratch, heads[..., :m], heads[..., m:])
+        np.multiply(omega[:, :, None], offsets, out=tail_angles)
+        _phasors(tail_angles, tail_scratch, tails[:, :m], tails[:, m:])
+        amp = math.sqrt(w)
+        tails *= np.float32(amp * scatter)
+        np.matmul(heads, tails, out=field)
+        flat = field.reshape(2, -1)[:, :n]
+        if k_factor > 0.0:
+            flat[0] += np.float32(amp * los_amp * math.cos(los_phase[0]))
+            flat[1] += np.float32(amp * los_amp * math.sin(los_phase[0]))
+        np.square(flat, out=flat)
+        np.add(flat[0], flat[1], out=power)
+        total += power
     return FadingSeries(samples=total, dt=dt, duration=n * dt)
 
 
@@ -200,7 +189,7 @@ def merge_counted(curves: list[EmpiricalCurve], duration_each: float) -> Empiric
     """Pool crossing statistics of independent runs of equal duration.
 
     The pooled rate is total crossings over total time and the pooled
-    fraction the plain mean, so rate * aed = fraction stays exact.
+    fraction the plain mean, so rate * aed = fraction holds up to rounding.
     """
     if not curves:
         raise ValueError("need at least one curve")

@@ -3,13 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import special
 
 from remcr.fadingsim import (
     _BLOCK,
+    OSCILLATORS,
     FadingSeries,
-    _add_path_power,
-    _draw_path_params,
+    _draw_profile,
     count_crossings,
     generate_fading,
     merge_counted,
@@ -63,10 +66,49 @@ class TestGenerateFading:
         with pytest.raises(ValueError):
             generate_fading(stream, [1.0], -0.5, 25.0, dt=1.0 / 1600.0, duration=16.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["profile", "k_factor", "doppler_hz", "dt", "duration"])
+    def test_non_finite_input_rejected(self, name, bad):
+        args = dict(profile=[0.5, 0.5], k_factor=10.0, doppler_hz=25.0, dt=1.0 / 1600.0, duration=16.0)
+        args[name] = [0.5, bad] if name == "profile" else bad
+        with pytest.raises(ValueError):
+            generate_fading(np.random.default_rng(42), **args)
+
     def test_deterministic_given_stream(self):
         a = generate_fading(np.random.default_rng(7), [0.5], 0.0, 25.0, 1.0 / 1600.0, 16.0)
         b = generate_fading(np.random.default_rng(7), [0.5], 0.0, 25.0, 1.0 / 1600.0, 16.0)
         assert np.array_equal(a.samples, b.samples)
+
+
+@dataclasses.dataclass(frozen=True)
+class _OldPathParams:
+    omega_i: np.ndarray
+    phase_i: np.ndarray
+    omega_q: np.ndarray
+    phase_q: np.ndarray
+    los_phase: float | None
+    los_i: float
+    los_q: float
+    scatter_amp: float
+
+
+def _old_path_params(stream, k_factor, doppler_hz):
+    """The generator's former per-path draw: one path's oscillators and phasor."""
+
+    def component():
+        angles = stream.uniform(0.0, 2.0 * math.pi, size=OSCILLATORS)
+        phases = stream.uniform(0.0, 2.0 * math.pi, size=OSCILLATORS)
+        return 2.0 * math.pi * doppler_hz * np.cos(angles), phases
+
+    omega_i, phase_i = component()
+    omega_q, phase_q = component()
+    los_phase, los_i, los_q, scatter_amp = None, 0.0, 0.0, 1.0
+    if k_factor > 0.0:
+        los_phase = stream.uniform(0.0, 2.0 * math.pi)
+        los_amp = math.sqrt(k_factor / (1.0 + k_factor))
+        los_i, los_q = los_amp * math.cos(los_phase), los_amp * math.sin(los_phase)
+        scatter_amp = math.sqrt(1.0 / (1.0 + k_factor))
+    return _OldPathParams(omega_i, phase_i, omega_q, phase_q, los_phase, los_i, los_q, scatter_amp)
 
 
 def _direct_power(params, t):
@@ -79,29 +121,40 @@ def _direct_power(params, t):
     return re * re + im * im
 
 
-def _path_power(params, n, dt, weight=1.0):
-    total = np.zeros(n)
-    _add_path_power(total, params, weight, dt, np.empty((2, -(-n // _BLOCK), _BLOCK)))
-    return total
+_DT = 1.0 / 1600.0
+_N = 160 * _BLOCK - 13  # 16 s, angles to ~2500 rad; not a whole number of blocks
+
+
+def _power_and_direct(seed, weights, k):
+    """generate_fading's trace and the weighted float64 sum of its paths."""
+    ref = np.random.default_rng(seed)
+    t = np.arange(_N) * _DT
+    direct = sum(w * _direct_power(_old_path_params(ref, k, 25.0), t) for w in weights)
+    return generate_fading(np.random.default_rng(seed), weights, k, 25.0, _DT, _N * _DT).samples, direct
 
 
 class TestPathPower:
     @pytest.mark.parametrize("k", [0.0, 10.0])
     def test_matches_float64_sum_of_cosines(self, k):
-        dt = 1.0 / 1600.0
-        n = 160 * _BLOCK - 13  # 16 s, angles to ~2500 rad; not a whole number of blocks
-        params = _draw_path_params(np.random.default_rng(60), k, 25.0)
-        expected = _direct_power(params, np.arange(n) * dt)
-        assert np.max(np.abs(_path_power(params, n, dt) - expected)) <= 1e-4
-        assert np.max(np.abs(_path_power(params, n, dt, weight=0.3) - 0.3 * expected)) <= 0.3e-4
+        power, expected = _power_and_direct(60, [1.0], k)
+        assert len(power) == _N
+        assert np.max(np.abs(power - expected)) <= 1e-5
+        power, expected = _power_and_direct(60, [0.3], k)
+        assert np.max(np.abs(power - expected)) <= 0.3e-5
+
+    @pytest.mark.parametrize("k", [0.0, 10.0])
+    def test_unequal_aggregate_matches_weighted_direct_sum(self, k):
+        weights = [0.2, 0.5, 1.7]
+        power, expected = _power_and_direct(63, weights, k)
+        assert np.max(np.abs(power - expected)) <= 1e-5 * sum(weights)
 
     def test_rician_path_keeps_its_line_of_sight_phasor(self):
         k = 10.0
-        params = _draw_path_params(np.random.default_rng(62), k, 25.0)
+        params = _old_path_params(np.random.default_rng(62), k, 25.0)
         assert math.isclose(params.los_i**2 + params.los_q**2, k / (k + 1.0), rel_tol=1e-12)
-        n = 160 * _BLOCK
-        with_los = _path_power(params, n, 1.0 / 1600.0)
-        scatter = _path_power(dataclasses.replace(params, los_i=0.0, los_q=0.0), n, 1.0 / 1600.0)
+        with_los = generate_fading(np.random.default_rng(62), [1.0], k, 25.0, _DT, 16.0).samples
+        t = np.arange(len(with_los)) * _DT
+        scatter = _direct_power(dataclasses.replace(params, los_i=0.0, los_q=0.0), t)
         # |los + s|^2 - |s|^2 = |los|^2 + 2 Re(conj(los) s): the cross term
         # averages out over 400 Doppler times, the phasor's power stays.
         assert abs(np.mean(with_los - scatter) - k / (k + 1.0)) < 0.05
@@ -113,8 +166,20 @@ class TestPathPower:
         generate_fading(used, weights, k, 25.0, 1.0 / 1600.0, 8.0)
         ref = np.random.default_rng(61)
         for _ in weights:
-            _draw_path_params(ref, k, 25.0)
+            _old_path_params(ref, k, 25.0)
         assert used.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("k", [0.0, 10.0])
+    def test_profile_draw_equals_per_path_draws(self, k):
+        stacked = np.random.default_rng(64)
+        omegas, phases, los_phases = _draw_profile(stacked, 7, k, 25.0)
+        ref = np.random.default_rng(64)
+        paths = [_old_path_params(ref, k, 25.0) for _ in range(7)]
+        assert np.array_equal(omegas, [[p.omega_i, p.omega_q] for p in paths])
+        assert np.array_equal(phases, [[p.phase_i, p.phase_q] for p in paths])
+        expected_los = [[p.los_phase] for p in paths] if k > 0.0 else np.empty((7, 0))
+        assert np.array_equal(los_phases, expected_los)
+        assert stacked.bit_generator.state == ref.bit_generator.state
 
 
 class TestCountCrossings:
@@ -136,6 +201,21 @@ class TestCountCrossings:
         curve = count_crossings(series, np.geomspace(0.05, 5.0, 40))
         finite = np.isfinite(curve.aeds)
         assert np.allclose(curve.rates[finite] * curve.aeds[finite], curve.fractions[finite], rtol=0, atol=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        samples=hnp.arrays(np.float64, st.integers(2, 200), elements=st.floats(-10.0, 10.0)),
+        thresholds=hnp.arrays(np.float64, st.integers(1, 20), elements=st.floats(-12.0, 12.0)),
+        duration=st.floats(0.5, 100.0),
+    )
+    def test_rate_times_aed_is_fraction(self, samples, thresholds, duration):
+        series = FadingSeries(samples=samples, dt=duration / len(samples), duration=duration)
+        curve = count_crossings(series, np.sort(thresholds))
+        positive = curve.rates > 0.0
+        products = curve.rates[positive] * curve.aeds[positive]
+        assert np.allclose(products, curve.fractions[positive], rtol=1e-14, atol=0.0)
+        assert np.all(np.isnan(curve.aeds[~positive]))
+        assert np.all(np.diff(curve.fractions) <= 0.0)
 
     def test_upcrossing_convention(self):
         # a crossing is a rising pair with before < T <= after
