@@ -7,7 +7,7 @@ exceedance-duration curves for the admitted aggregate interference.
 """
 
 from remcr.scenario import ScenarioConfig, ConfigError, interference_threshold, derive_stream
-from remcr.allocation import InterferenceProfile, allocate, degradation_db, select_extreme_profiles
+from remcr.allocation import InterferenceProfile, degradation_db, select_extreme_profiles
 from remcr.lcr import (
     GammaFit,
     NcChiSqFit,
@@ -27,7 +27,6 @@ __all__ = [
     "interference_threshold",
     "derive_stream",
     "InterferenceProfile",
-    "allocate",
     "degradation_db",
     "select_extreme_profiles",
     "GammaFit",

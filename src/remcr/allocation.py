@@ -1,10 +1,14 @@
-"""Centralized admission of secondary transmitters under the map's estimates.
+"""Admitted interference profiles: their realized degradation and the
+fluctuation extremes of a batch.
 
-The controller only sees estimated link powers.  It admits transmitters in
+Admission itself is the greedy prefix rule of remcr.engine.Evaluation.admitted.
+The controller only sees estimated link powers, and admits transmitters in
 ascending order of estimated interference while the estimated total stays
-within the interference budget implied by the protection buffer (a greedy
-rule that maximizes the admitted count for the information it has).  The
-realized degradation is then evaluated with the true link powers, which is
+within the interference budget implied by the protection buffer (the rule
+that maximizes the admitted count for the information it has).  The budget
+does not involve the protected link's power (see interference_threshold), so
+its estimate s_est is recorded in a profile but cannot change the decision.
+The realized degradation is evaluated with the true link powers, which is
 where map imperfection shows up.
 """
 
@@ -16,13 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from remcr.channel import LinkGain
-from remcr.rem import RemEstimate
-from remcr.scenario import interference_threshold
-
 __all__ = [
     "InterferenceProfile",
-    "allocate",
     "degradation_db",
     "select_extreme_profiles",
 ]
@@ -56,49 +55,6 @@ class InterferenceProfile:
 
     def __len__(self) -> int:
         return len(self.weights)
-
-
-def _admit_prefix(est_sorted: np.ndarray, budget: float) -> int:
-    """Number of leading entries of an ascending estimate array whose running
-    sum stays within the budget."""
-    if len(est_sorted) == 0:
-        return 0
-    cum = np.cumsum(est_sorted)
-    return int(np.searchsorted(cum, budget, side="right"))
-
-
-def allocate(
-    candidates: Sequence[tuple[LinkGain, RemEstimate]],
-    s_est: float,
-    buffer_db: float,
-    noise_power: float,
-    s_true: float = math.nan,
-) -> InterferenceProfile:
-    """Admit a subset of candidate transmitters using estimated powers only.
-
-    Candidates are (true link, map estimate) pairs.  The admission
-    inequality, written with the estimated protected-link power s_est,
-    cancels s_est and reduces to a budget on the estimated interference sum
-    (see interference_threshold), so s_est is recorded in the profile but
-    cannot influence the decision.  Ties in the estimates keep candidate
-    order.  Returns the admitted profile, possibly empty of members but
-    never violating the estimated budget.
-    """
-    budget = interference_threshold(buffer_db, noise_power)
-    est = np.array([e.power_est for _, e in candidates], dtype=float)
-    true = np.array([g.power() for g, _ in candidates], dtype=float)
-    order = np.argsort(est, kind="stable")
-    est_sorted = est[order]
-    true_sorted = true[order]
-    k = _admit_prefix(est_sorted, budget)
-    profile = InterferenceProfile(
-        weights=true_sorted[:k],
-        est_weights=est_sorted[:k],
-        s_true=s_true,
-        s_est=s_est,
-    )
-    assert float(np.sum(profile.est_weights)) <= budget * (1.0 + 1e-12)
-    return profile
 
 
 def degradation_db(profile: InterferenceProfile, noise_power: float) -> float:

@@ -16,10 +16,8 @@ import numpy as np
 from remcr.scenario import DB_TO_NAT, ScenarioConfig, derive_stream
 
 __all__ = [
-    "LinkGain",
     "PowerConstants",
     "received_power",
-    "sample_shadow",
     "sample_shadows",
     "gudmundson_correlation",
     "calibrate_pu_power",
@@ -36,19 +34,6 @@ _CAL_CR_TAG = "calibrate-cr"
 
 
 @dataclass(frozen=True)
-class LinkGain:
-    """Shadowing realization and geometry of one link; self-evaluating."""
-
-    power_const: float
-    shadow_log: float
-    distance_m: float
-    pathloss_exp: float
-
-    def power(self) -> float:
-        return received_power(self.power_const, self.shadow_log, self.distance_m, self.pathloss_exp)
-
-
-@dataclass(frozen=True)
 class PowerConstants:
     """Calibrated transmit-power constants for the two systems."""
 
@@ -56,29 +41,22 @@ class PowerConstants:
     cr: float
 
 
-def received_power(power_const: float, shadow_log: float, distance_m, pathloss_exp: float):
+def received_power(power_const, shadow_log, distance_m, pathloss_exp: float):
     """Mean received power power_const * exp(shadow_log) * distance**(-exp).
 
-    Vectorized over distance_m (and shadow_log when it is an array)."""
+    Array in, array out: power_const, shadow_log and distance_m broadcast
+    against each other."""
     d = np.asarray(distance_m, dtype=float)
-    if np.any(d <= 0.0):
+    if (d <= 0.0).any():
         raise ValueError("received_power requires positive distance")
-    out = power_const * np.exp(shadow_log) * d ** (-pathloss_exp)
-    return float(out) if np.isscalar(distance_m) else out
-
-
-def sample_shadow(stream: np.random.Generator, sigma_db: float) -> float:
-    """One shadowing value in the natural-log domain.
-
-    exp of the result is lognormal with a dB-domain standard deviation of
-    sigma_db; draws are independent across links."""
-    if sigma_db <= 0.0:
-        raise ValueError("sigma_db must be positive")
-    return DB_TO_NAT * stream.normal(0.0, sigma_db)
+    return power_const * np.exp(shadow_log) * d ** (-pathloss_exp)
 
 
 def sample_shadows(stream: np.random.Generator, n: int, sigma_db: float) -> np.ndarray:
-    """Vector form of sample_shadow."""
+    """n shadowing values in the natural-log domain.
+
+    exp of each value is lognormal with a dB-domain standard deviation of
+    sigma_db; draws are independent across links."""
     if sigma_db <= 0.0:
         raise ValueError("sigma_db must be positive")
     return DB_TO_NAT * stream.normal(0.0, sigma_db, size=n)

@@ -21,7 +21,7 @@ from remcr import lcr as lcrmod
 from remcr.channel import calibrate
 from remcr.engine import trial_profile
 from remcr.fadingsim import FadingSeries, count_crossings, generate_fading
-from remcr.geometry import Point, snap_to_grid
+from remcr.geometry import snap_points
 from remcr.scenario import (
     ConfigError,
     ScenarioConfig,
@@ -119,8 +119,8 @@ def _run_validate(cfg: ScenarioConfig) -> int:
     expect = cfg.noise_power * (10.0 ** (cfg.buffer_dB / 10.0) - 1.0)
     report("budget-identity", abs(budget - expect) <= 1e-12 * max(expect, 1.0))
 
-    snapped = snap_to_grid(Point(37.0, -12.0), 50.0)
-    report("grid-snap", snapped == Point(25.0, -25.0), f"got {snapped}")
+    snapped = snap_points([37.0, -12.0], 50.0)
+    report("grid-snap", snapped.tolist() == [25.0, -25.0], f"got {snapped}")
 
     consts = calibrate(cfg, n_samples=50_000)
     est_ok = True

@@ -8,8 +8,8 @@ streams.  draw_trials takes those draws for a block of trials into padded
 arrays; evaluate turns a block into map estimates and the greedy admission
 order at one (delta, D_d), vectorized across trials.  Admission for any
 budget, realized degradation and critical budgets are reductions over one
-Evaluation.  The per-trial functions below are views onto the same path
-with a block of one trial.
+Evaluation.  trial_profile and degradation_samples are views onto the same
+path.
 
 Studies walk trials in blocks of TRIAL_BLOCK, which bounds the working
 memory of an evaluation whatever the trial count or link density.
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from remcr.allocation import InterferenceProfile
-from remcr.channel import PowerConstants, calibrate, sample_shadows
-from remcr.geometry import Point, sample_placement, snap_points, snap_to_grid
+from remcr.channel import PowerConstants, calibrate, received_power, sample_shadows
+from remcr.geometry import sample_placement, snap_points
 from remcr.rem import estimate_links
 from remcr.scenario import ScenarioConfig, derive_stream, interference_threshold
 
@@ -32,15 +32,12 @@ __all__ = [
     "TRIAL_BLOCK",
     "TrialBatch",
     "Evaluation",
-    "TrialCandidates",
     "draw_trials",
     "trial_batches",
     "evaluate",
     "sweep",
-    "draw_candidates",
     "trial_profile",
     "degradation_samples",
-    "critical_budgets",
 ]
 
 _PLACE_TAG = "place"
@@ -52,7 +49,7 @@ _REM_TAG = "rem"
 TRIAL_BLOCK = 10
 
 # The protected receiver sits at the origin of every scenario.
-_RECEIVER = Point(0.0, 0.0)
+_RECEIVER = (0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -83,22 +80,6 @@ class TrialBatch:
 
     def __len__(self) -> int:
         return len(self.trials)
-
-
-@dataclass(frozen=True)
-class TrialCandidates:
-    """All candidate links of one trial, sorted by estimated interference.
-
-    est_sorted / true_sorted are aligned; cumulative sums over the sorted
-    estimates drive admission for any budget.
-    """
-
-    est_sorted: np.ndarray
-    true_sorted: np.ndarray
-    s_true: float
-    s_est: float
-    n_active: int
-    clamped: int
 
 
 def draw_trials(cfg: ScenarioConfig, consts: PowerConstants, trials) -> TrialBatch:
@@ -139,7 +120,7 @@ def draw_trials(cfg: ScenarioConfig, consts: PowerConstants, trials) -> TrialBat
         return np.concatenate((licensed[:, None], padded), axis=1)
 
     def true_power(const, shadow, xy):
-        return const * np.exp(shadow) * np.hypot(xy[:, 0], xy[:, 1]) ** (-cfg.gamma_pl)
+        return received_power(const, shadow, np.hypot(xy[:, 0], xy[:, 1]), cfg.gamma_pl)
 
     pu_xy = np.array(pu_xy, dtype=float)
     pu_shadow = np.concatenate(pu_shadow)
@@ -207,7 +188,13 @@ class Evaluation:
         """Per trial, the estimated budget at which the realized interference
         first exceeds true_cap; +inf when it never does.  The estimated
         running sum only grows, so that is its smallest value where the true
-        running sum is over the cap."""
+        running sum is over the cap.
+
+        For budgets below a trial's critical value the realized interference
+        stays within true_cap; at or above it, it exceeds.  Backoff searches
+        reduce to a quantile of these values because greedy admission is a
+        prefix rule: shrinking the budget can only drop the last-admitted
+        candidates."""
         over = np.cumsum(self.true_sorted, axis=1) > true_cap
         cum_est = np.where(over, np.cumsum(self.est_sorted, axis=1), math.inf)
         return cum_est.min(axis=1, initial=math.inf)
@@ -225,18 +212,6 @@ class Evaluation:
             for row, k in enumerate(self.admitted(budget).tolist())
         ]
 
-    def candidates(self, row: int) -> TrialCandidates:
-        """The candidate links of one trial, without padding."""
-        n = int(self.batch.counts[row])
-        return TrialCandidates(
-            est_sorted=self.est_sorted[row, :n],
-            true_sorted=self.true_sorted[row, :n],
-            s_true=float(self.batch.true_powers[row, 0]),
-            s_est=float(self.s_est[row]),
-            n_active=n,
-            clamped=int(np.count_nonzero(self.clamped[row, 1 : n + 1])),
-        )
-
 
 def evaluate(batch: TrialBatch, delta: float, D_d: float) -> Evaluation:
     """Map estimates and admission order of a batch at grid size delta and
@@ -250,7 +225,7 @@ def evaluate(batch: TrialBatch, delta: float, D_d: float) -> Evaluation:
     power_const[0] = consts.pu
     est, _, _, clamped = estimate_links(
         batch.fresh, power_const, cfg.gamma_pl, batch.shadows, batch.xy,
-        snap_points(batch.xy, delta), _RECEIVER, snap_to_grid(_RECEIVER, delta), D_d, cfg.R0,
+        snap_points(batch.xy, delta), _RECEIVER, snap_points(_RECEIVER, delta), D_d, cfg.R0,
     )
     secondary = np.where(batch.active, est[:, 1:], math.inf)
     order = np.argsort(secondary, axis=1, kind="stable")
@@ -284,17 +259,6 @@ def _budget(cfg: ScenarioConfig, buffer_db: float | None) -> float:
     return interference_threshold(cfg.buffer_dB if buffer_db is None else buffer_db, cfg.noise_power)
 
 
-def _evaluate_trial(cfg: ScenarioConfig, consts: PowerConstants, trial_index: int) -> Evaluation:
-    return evaluate(draw_trials(cfg, consts, [trial_index]), cfg.delta_grid, cfg.D_d)
-
-
-def draw_candidates(
-    cfg: ScenarioConfig, consts: PowerConstants, trial_index: int
-) -> TrialCandidates:
-    """One trial's candidate links at the configured grid and decorrelation."""
-    return _evaluate_trial(cfg, consts, trial_index).candidates(0)
-
-
 def trial_profile(
     cfg: ScenarioConfig,
     consts: PowerConstants,
@@ -302,7 +266,8 @@ def trial_profile(
     buffer_db: float | None = None,
 ) -> InterferenceProfile:
     """Admitted profile of one trial for the given (or configured) buffer."""
-    return _evaluate_trial(cfg, consts, trial_index).profiles(_budget(cfg, buffer_db))[0]
+    ev = evaluate(draw_trials(cfg, consts, [trial_index]), cfg.delta_grid, cfg.D_d)
+    return ev.profiles(_budget(cfg, buffer_db))[0]
 
 
 def degradation_samples(
@@ -318,25 +283,4 @@ def degradation_samples(
     return sweep(
         trial_batches(cfg, consts, n_trials), n_trials, [(cfg.delta_grid, cfg.D_d)],
         lambda ev: ev.degradation(budget),
-    )[0]
-
-
-def critical_budgets(
-    cfg: ScenarioConfig, n_trials: int, consts: PowerConstants | None = None
-) -> np.ndarray:
-    """Smallest estimated budget at which each trial's realized interference
-    exceeds the true threshold for the configured buffer.
-
-    For budgets below a trial's critical value the degradation stays within
-    buffer_dB; at or above it, it exceeds.  Backoff searches reduce to a
-    quantile of these values because greedy admission is a prefix rule:
-    shrinking the budget can only drop the last-admitted candidates.
-    Trials that never exceed map to +inf.
-    """
-    if consts is None:
-        consts = calibrate(cfg)
-    true_cap = _budget(cfg, None)
-    return sweep(
-        trial_batches(cfg, consts, n_trials), n_trials, [(cfg.delta_grid, cfg.D_d)],
-        lambda ev: ev.critical_budgets(true_cap),
     )[0]

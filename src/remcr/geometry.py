@@ -1,57 +1,33 @@
-"""Transmitter placement in the annulus, grid snapping, and distances."""
+"""Transmitter placement in the annulus and grid snapping."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from remcr.scenario import ScenarioConfig
 
 __all__ = [
-    "Point",
     "Placement",
-    "distance",
-    "snap_to_grid",
-    "sample_annulus_point",
+    "snap_points",
+    "sample_annulus_points",
     "sample_cr_count",
     "cr_population",
     "sample_placement",
 ]
 
 
-class Point(NamedTuple):
-    x: float
-    y: float
-
-
-def distance(a: Point, b: Point) -> float:
-    """Euclidean distance between two points."""
-    return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
-def snap_to_grid(p: Point, delta: float) -> Point:
-    """Map a point to the center of its grid cell of side delta.
+def snap_points(xy: np.ndarray, delta: float) -> np.ndarray:
+    """Map an (..., 2) array of positions to the centers of their grid cells
+    of side delta.
 
     Cells are anchored at the origin, i.e. cell (i, j) covers
     [i*delta, (i+1)*delta) x [j*delta, (j+1)*delta) and is represented by its
-    center.  delta = 0 disables snapping and returns the point unchanged.
-    The positional error is at most delta/sqrt(2).
+    center.  delta = 0 disables snapping and returns a copy.  The positional
+    error is at most delta/sqrt(2).
     """
-    if delta < 0.0:
-        raise ValueError("grid size must be non-negative")
-    if delta == 0.0:
-        return Point(float(p[0]), float(p[1]))
-    return Point(
-        (math.floor(p[0] / delta) + 0.5) * delta,
-        (math.floor(p[1] / delta) + 0.5) * delta,
-    )
-
-
-def snap_points(xy: np.ndarray, delta: float) -> np.ndarray:
-    """Vectorized snap_to_grid over an (..., 2) array of positions."""
     if delta < 0.0:
         raise ValueError("grid size must be non-negative")
     xy = np.asarray(xy, dtype=float)
@@ -60,24 +36,16 @@ def snap_points(xy: np.ndarray, delta: float) -> np.ndarray:
     return (np.floor(xy / delta) + 0.5) * delta
 
 
-def sample_annulus_point(stream: np.random.Generator, r_inner: float, r_outer: float) -> Point:
-    """Uniform point in the annulus r_inner <= r <= r_outer around the origin.
-
-    Uniformity in area means the squared radius is uniform on
-    [r_inner**2, r_outer**2]; the angle is uniform on [0, 2*pi).
-    """
-    if not (0.0 <= r_inner < r_outer):
-        raise ValueError("need 0 <= r_inner < r_outer")
-    rr = stream.uniform(r_inner * r_inner, r_outer * r_outer)
-    ang = stream.uniform(0.0, 2.0 * math.pi)
-    r = math.sqrt(rr)
-    return Point(r * math.cos(ang), r * math.sin(ang))
-
-
 def sample_annulus_points(
     stream: np.random.Generator, n: int, r_inner: float, r_outer: float
 ) -> np.ndarray:
-    """Vector form of sample_annulus_point; returns an (n, 2) array."""
+    """n uniform points in the annulus r_inner <= r <= r_outer around the
+    origin, as an (n, 2) array.
+
+    Uniformity in area means the squared radius is uniform on
+    [r_inner**2, r_outer**2]; the angle is uniform on [0, 2*pi).  All radii
+    are drawn before all angles.
+    """
     if not (0.0 <= r_inner < r_outer):
         raise ValueError("need 0 <= r_inner < r_outer")
     rr = stream.uniform(r_inner * r_inner, r_outer * r_outer, size=n)
@@ -121,14 +89,14 @@ def sample_cr_count(
 class Placement:
     """One trial's transmitter geometry.
 
-    crs holds the active secondary transmitters as an (n, 2) array; the
-    protected receiver sits at the origin.  The positions the discretized
+    pu_tx is the licensed transmitter's position, shape (2,), and crs holds
+    the active secondary transmitters as an (n, 2) array; the protected
+    receiver sits at the origin.  The positions the discretized
     map attributes to each node depend on the grid size and are taken with
     snap_points where the map is read (remcr.engine.evaluate).
     """
 
-    pu_rx: Point
-    pu_tx: Point
+    pu_tx: np.ndarray
     crs: np.ndarray
 
 
@@ -138,8 +106,7 @@ def sample_placement(stream: np.random.Generator, cfg: ScenarioConfig) -> Placem
     Draw order (licensed position, active count, secondary positions) is part
     of the determinism contract for a given stream.
     """
-    pu_rx = Point(0.0, 0.0)
-    pu_tx = sample_annulus_point(stream, cfg.R0, cfg.R)
+    pu_tx = sample_annulus_points(stream, 1, cfg.R0, cfg.R)[0]
     n_active = sample_cr_count(stream, cfg.cr_density, cfg.R, cfg.activity_p)
     crs = sample_annulus_points(stream, n_active, cfg.R0, cfg.R)
-    return Placement(pu_rx=pu_rx, pu_tx=pu_tx, crs=crs)
+    return Placement(pu_tx=pu_tx, crs=crs)

@@ -270,7 +270,7 @@ def lcr_rician(fit: NcChiSqFit, doppler_hz: float, thresholds):
     x = t[pos]
     order = 0.5 * (fit.dof - 2.0)
     z = np.sqrt(fit.noncentrality * fit.scale * x)
-    logi = specfun._log_bessel_i_vec(order, z)
+    logi = specfun.log_bessel_i(order, z)
     with np.errstate(over="ignore"):
         loglcr = (
             0.5 * math.log(math.pi)

@@ -100,16 +100,6 @@ class ScenarioConfig:
                 stacklevel=2,
             )
 
-    @property
-    def k_factor(self) -> float:
-        """Linear Rician K factor; 0 when the scenario is Rayleigh."""
-        return 0.0 if self.K_dB is None else 10.0 ** (self.K_dB / 10.0)
-
-    @property
-    def shadow_sigma_nat(self) -> float:
-        """Shadowing standard deviation in the natural-log domain."""
-        return DB_TO_NAT * self.sigma_dB
-
 
 def interference_threshold(buffer_db: float, noise_power: float) -> float:
     """Largest aggregate interference that keeps the protected receiver's

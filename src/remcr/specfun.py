@@ -11,13 +11,11 @@ top of them are assembled here in log space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
 
 __all__ = [
-    "LogScaledValue",
     "ln_gamma",
     "bessel_j0",
     "log_bessel_i",
@@ -26,23 +24,6 @@ __all__ = [
     "ncx2_pdf",
     "ncx2_sf",
 ]
-
-
-@dataclass(frozen=True)
-class LogScaledValue:
-    """A real number stored as sign * exp(log_magnitude).
-
-    log_magnitude may be -inf (value 0) or +inf (divergent limit); sign is
-    -1, 0 or +1.
-    """
-
-    log_magnitude: float
-    sign: int = 1
-
-    def value(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_magnitude)
 
 
 def ln_gamma(x):
@@ -81,31 +62,18 @@ def _log_i_series(order: float, x: float) -> float:
     return head + math.log(total)
 
 
-def log_bessel_i(order: float, x: float) -> LogScaledValue:
-    """log of the modified Bessel function I_order(x), order >= -0.5, x >= 0.
+def log_bessel_i(order: float, x) -> np.ndarray:
+    """log of the modified Bessel function I_order(x), order > -1, x >= 0.
 
-    Returns a LogScaledValue so that I values far beyond float range (x of
-    several hundred) stay usable inside log-space density formulas.  I is
-    positive on this domain, so the sign is always +1; at x = 0 the limit is
-    0, 1 or +inf depending on the order's sign.
+    I is positive there, and the orders (dof - 2)/2 of the noncentral
+    chi-square densities with dof > 0 are all inside.  Returns an array of
+    logarithms, so that I values far beyond float range (x of several
+    hundred) stay usable inside log-space density formulas.  At x = 0 the
+    limit is 0, -inf or +inf as the order is zero, positive or negative;
+    where the scaled Bessel ive underflows the ascending series takes over.
     """
-    if x < 0.0:
-        raise ValueError("log_bessel_i requires x >= 0")
-    if order < -0.5:
-        raise ValueError("log_bessel_i requires order >= -0.5")
-    if x == 0.0:
-        if order == 0.0:
-            return LogScaledValue(0.0, 1)
-        return LogScaledValue(-math.inf if order > 0 else math.inf, 1)
-    scaled = _sp.ive(order, x)
-    if scaled > 0.0 and math.isfinite(scaled):
-        return LogScaledValue(math.log(scaled) + x, 1)
-    # ive underflowed: fall back to the ascending series in log space.
-    return LogScaledValue(_log_i_series(order, x), 1)
-
-
-def _log_bessel_i_vec(order: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized log I_order over an array of non-negative arguments."""
+    if not order > -1.0:
+        raise ValueError("log_bessel_i requires order > -1")
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ValueError("log_bessel_i requires x >= 0")
@@ -114,9 +82,11 @@ def _log_bessel_i_vec(order: float, x: np.ndarray) -> np.ndarray:
         scaled = _sp.ive(order, x)
         good = (scaled > 0.0) & np.isfinite(scaled) & (x > 0.0)
         out[good] = np.log(scaled[good]) + x[good]
-    rest = ~good
+    zero = x == 0.0
+    out[zero] = 0.0 if order == 0.0 else (-math.inf if order > 0 else math.inf)
+    rest = ~(good | zero)
     if np.any(rest):
-        out[rest] = [log_bessel_i(order, float(v)).log_magnitude for v in x[rest]]
+        out[rest] = [_log_i_series(order, v) for v in x[rest].tolist()]
     return out
 
 
@@ -188,7 +158,7 @@ def ncx2_pdf(x, dof: float, noncentrality: float, scale: float):
     pos = arr > 0.0
     order = 0.5 * (dof - 2.0)
     z = np.sqrt(noncentrality * scale * arr[pos])
-    logi = _log_bessel_i_vec(order, z)
+    logi = log_bessel_i(order, z)
     with np.errstate(over="ignore"):
         logpdf = (
             math.log(0.5 * scale)

@@ -5,50 +5,65 @@ import pytest
 
 from remcr.allocation import (
     InterferenceProfile,
-    allocate,
     degradation_db,
     select_extreme_profiles,
 )
-from remcr.channel import LinkGain
-from remcr.engine import trial_profile
-from remcr.rem import RemEstimate
-from remcr.scenario import interference_threshold
+from remcr.channel import PowerConstants
+from remcr.engine import TrialBatch, evaluate, trial_profile
+from remcr.scenario import ScenarioConfig, interference_threshold
 
 
-def _candidate(true_power, est_power):
-    # distance 1 and no shadowing make power_const the true power
-    gain = LinkGain(power_const=true_power, shadow_log=0.0, distance_m=1.0, pathloss_exp=3.5)
-    est = RemEstimate(power_est=est_power, rho=1.0, grid_distance_m=1.0, clamped=False)
-    return gain, est
+def _admit(candidates):
+    """Admitted profile of one hand-built trial whose secondary links have
+    the given (true power, estimated power) pairs, in link order, against
+    the budget of a 2 dB buffer over unit noise.
+
+    At grid size 1 every transmitter sits on the center of the cell next to
+    the receiver's, 1 m away on the map, and a decorrelation distance of
+    1e-6 m makes rho exactly 0: a link's estimate is exp(fresh)."""
+    n = len(candidates)
+    true = [1.0] + [t for t, _ in candidates]
+    est = [1.0] + [e for _, e in candidates]
+    xy = np.tile([1.5, 0.5], (1, n + 1, 1))
+    xy[0, 0] = [500.5, 0.5]  # the licensed transmitter
+    batch = TrialBatch(
+        cfg=ScenarioConfig(),
+        consts=PowerConstants(pu=1.0, cr=1.0),
+        trials=np.zeros(1, dtype=np.int64),
+        counts=np.array([n]),
+        active=np.ones((1, n), dtype=bool),
+        xy=xy,
+        shadows=np.zeros((1, n + 1)),
+        fresh=np.log([est]),
+        true_powers=np.array([true]),
+    )
+    return evaluate(batch, 1.0, 1e-6).profiles(interference_threshold(2.0, 1.0))[0]
 
 
 class TestAllocate:
     def test_no_candidates(self):
-        prof = allocate([], s_est=1.0, buffer_db=2.0, noise_power=1.0)
+        prof = _admit([])
         assert len(prof) == 0
         assert degradation_db(prof, 1.0) == 0.0
 
     def test_single_over_budget_rejected(self):
         budget = interference_threshold(2.0, 1.0)
-        prof = allocate([_candidate(0.1, budget * 1.01)], 1.0, 2.0, 1.0)
+        prof = _admit([(0.1, budget * 1.01)])
         assert len(prof) == 0
 
     def test_greedy_prefix_on_estimates(self):
         # estimates 0.1, 0.2, 0.3, 0.4: budget 0.5849 admits 0.1+0.2 only
-        cands = [_candidate(t, e) for t, e in [(9.0, 0.4), (9.0, 0.1), (9.0, 0.3), (9.0, 0.2)]]
-        prof = allocate(cands, 1.0, 2.0, 1.0)
+        prof = _admit([(9.0, 0.4), (9.0, 0.1), (9.0, 0.3), (9.0, 0.2)])
         assert np.allclose(prof.est_weights, [0.1, 0.2])
         assert float(np.sum(prof.est_weights)) <= interference_threshold(2.0, 1.0)
 
     def test_ties_keep_candidate_order(self):
-        cands = [_candidate(t, 0.2) for t in (1.0, 2.0, 3.0)]
-        prof = allocate(cands, 1.0, 2.0, 1.0)
+        prof = _admit([(t, 0.2) for t in (1.0, 2.0, 3.0)])
         # budget fits two of the three equal estimates: first two by index
         assert np.allclose(prof.weights, [1.0, 2.0])
 
     def test_true_weights_follow_admitted_candidates(self):
-        cands = [_candidate(t, e) for t, e in [(5.0, 0.5), (7.0, 0.05)]]
-        prof = allocate(cands, 1.0, 2.0, 1.0)
+        prof = _admit([(5.0, 0.5), (7.0, 0.05)])
         assert np.allclose(prof.est_weights, [0.05, 0.5])
         assert np.allclose(prof.weights, [7.0, 5.0])
 

@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 
 from remcr.channel import (
-    LinkGain,
     calibrate,
     calibrate_cr_power,
     calibrate_pu_power,
     gudmundson_correlation,
     received_power,
-    sample_shadow,
     sample_shadows,
 )
 from remcr.geometry import sample_annulus_points
@@ -31,9 +29,14 @@ class TestReceivedPower:
         got = received_power(1.0, 0.0, np.array([1.0, 2.0]), 2.0)
         assert np.allclose(got, [1.0, 0.25])
 
-    def test_link_gain_self_evaluates(self):
-        g = LinkGain(power_const=3.0, shadow_log=0.5, distance_m=7.0, pathloss_exp=3.5)
-        assert math.isclose(g.power(), 3.0 * math.exp(0.5) * 7.0**-3.5, rel_tol=1e-14)
+    def test_vector_shadow_scalar_distance(self):
+        got = received_power(1.0, np.array([0.1, 0.2]), 5.0, 3.5)
+        assert got.shape == (2,)
+        assert np.allclose(got, np.exp([0.1, 0.2]) * 5.0**-3.5, rtol=1e-14)
+
+    def test_nonpositive_distance_rejected(self):
+        with pytest.raises(ValueError):
+            received_power(1.0, np.zeros(2), np.array([1.0, 0.0]), 3.5)
 
 
 class TestShadowing:
@@ -63,10 +66,6 @@ class TestShadowing:
         expected = math.exp(sigma_x**2 / 2.0)  # 5.4554
         assert math.isclose(expected, 5.455, rel_tol=1e-4)
         assert abs(np.mean(np.exp(x)) - expected) < 0.02 * expected
-
-    def test_scalar_form(self):
-        stream = np.random.default_rng(15)
-        assert isinstance(sample_shadow(stream, 8.0), float)
 
 
 class TestGudmundson:

@@ -4,26 +4,29 @@ import numpy as np
 import pytest
 
 from remcr.geometry import (
-    Point,
     cr_population,
-    distance,
-    sample_annulus_point,
     sample_annulus_points,
     sample_cr_count,
+    sample_placement,
     snap_points,
-    snap_to_grid,
 )
+from remcr.scenario import ScenarioConfig
+
+
+def _snap_one(v, delta):
+    """One coordinate snapped to its cell center, in scalar arithmetic."""
+    return (math.floor(v / delta) + 0.5) * delta
 
 
 class TestSnap:
     def test_cell_center_example(self):
-        assert snap_to_grid(Point(37.0, -12.0), 50.0) == Point(25.0, -25.0)
+        assert snap_points([37.0, -12.0], 50.0).tolist() == [25.0, -25.0]
 
     def test_zero_grid_is_identity(self):
-        assert snap_to_grid(Point(37.0, -12.0), 0.0) == Point(37.0, -12.0)
+        assert snap_points([37.0, -12.0], 0.0).tolist() == [37.0, -12.0]
 
     def test_center_is_fixed_point(self):
-        assert snap_to_grid(Point(25.0, 25.0), 50.0) == Point(25.0, 25.0)
+        assert snap_points([25.0, 25.0], 50.0).tolist() == [25.0, 25.0]
 
     def test_snap_error_bounded_by_half_cell(self, rng):
         pts = rng.uniform(-1000.0, 1000.0, size=(500, 2))
@@ -34,21 +37,7 @@ class TestSnap:
         pts = rng.uniform(-300.0, 300.0, size=(50, 2))
         snapped = snap_points(pts, 50.0)
         for (x, y), (sx, sy) in zip(pts, snapped):
-            assert snap_to_grid(Point(x, y), 50.0) == Point(sx, sy)
-
-
-class TestDistance:
-    def test_pythagoras(self):
-        assert distance(Point(0.0, 0.0), Point(3.0, 4.0)) == 5.0
-
-    def test_zero(self):
-        assert distance(Point(1.0, 1.0), Point(1.0, 1.0)) == 0.0
-
-    def test_symmetry(self, rng):
-        for _ in range(20):
-            p = Point(*rng.uniform(-10, 10, 2))
-            q = Point(*rng.uniform(-10, 10, 2))
-            assert distance(p, q) == distance(q, p)
+            assert (_snap_one(x, 50.0), _snap_one(y, 50.0)) == (sx, sy)
 
 
 class TestAnnulusSampling:
@@ -74,11 +63,24 @@ class TestAnnulusSampling:
         expected = 2.0 / 3.0 * (1000.0**3 - 999.0**3) / (1000.0**2 - 999.0**2)
         assert abs(np.mean(r) - expected) < 0.01
 
-    def test_scalar_form_in_support(self):
-        stream = np.random.default_rng(6)
-        for _ in range(50):
-            p = sample_annulus_point(stream, 10.0, 1000.0)
-            assert 10.0 <= math.hypot(p.x, p.y) <= 1000.0
+    def test_licensed_transmitter_draw(self):
+        # the licensed position is a one-point draw of the vector sampler; it
+        # must equal the two-scalar-uniform draw it replaced and leave the
+        # stream where that draw left it (sample_placement's draw order)
+        cfg = ScenarioConfig()
+        for seed in range(50):
+            stream = np.random.default_rng(seed)
+            rr = stream.uniform(cfg.R0 * cfg.R0, cfg.R * cfg.R)
+            ang = stream.uniform(0.0, 2.0 * math.pi)
+            r = math.sqrt(rr)
+            n = sample_cr_count(stream, cfg.cr_density, cfg.R, cfg.activity_p)
+            crs = sample_annulus_points(stream, n, cfg.R0, cfg.R)
+            drawn = np.random.default_rng(seed)
+            placement = sample_placement(drawn, cfg)
+            assert placement.pu_tx.tolist() == [r * math.cos(ang), r * math.sin(ang)]
+            assert cfg.R0 <= math.hypot(*placement.pu_tx) <= cfg.R
+            assert np.array_equal(placement.crs, crs)
+            assert drawn.bit_generator.state == stream.bit_generator.state
 
 
 class TestPopulation:

@@ -2,44 +2,47 @@ import math
 
 import numpy as np
 
-from remcr.channel import LinkGain, sample_shadows
-from remcr.geometry import Point
-from remcr.rem import estimate_link, estimate_links
+from remcr.channel import sample_shadows
+from remcr.rem import estimate_links
 
 SIGMA_X = math.log(10.0) / 10.0 * 8.0
 
 
-def _link(shadow, r):
-    return LinkGain(power_const=1.0, shadow_log=shadow, distance_m=r, pathloss_exp=3.5)
+def _one_link(fresh, shadow, true_xy, snapped_xy, rx_true, rx_snap, decorr_m, min_distance_m):
+    """One link estimated in scalar arithmetic: (power_est, rho)."""
+    d_tx = math.hypot(true_xy[0] - snapped_xy[0], true_xy[1] - snapped_xy[1])
+    d_rx = math.hypot(rx_true[0] - rx_snap[0], rx_true[1] - rx_snap[1])
+    rho = 0.5 ** (d_tx / decorr_m) * 0.5 ** (d_rx / decorr_m)
+    shadow_est = rho * shadow + math.sqrt(1.0 - rho * rho) * fresh
+    r_hat = math.hypot(snapped_xy[0] - rx_snap[0], snapped_xy[1] - rx_snap[1]) or min_distance_m
+    return math.exp(shadow_est) * r_hat**-3.5, rho
 
 
 class TestEstimateLink:
     def test_perfect_map_reproduces_truth(self):
-        stream = np.random.default_rng(20)
-        g = _link(0.7, 321.0)
-        est = estimate_link(
-            stream, g,
-            true_pos=Point(300.0, 100.0), snapped_pos=Point(300.0, 100.0),
-            receiver_true=Point(0.0, 0.0), receiver_snapped=Point(0.0, 0.0),
-            decorr_m=100.0, sigma_db=8.0, min_distance_m=10.0,
+        fresh = sample_shadows(np.random.default_rng(20), 1, 8.0)
+        est, rho, r_hat, clamped = estimate_links(
+            fresh, 1.0, 3.5, np.array([0.7]),
+            true_xy=[[300.0, 100.0]], snapped_xy=[[300.0, 100.0]],
+            receiver_true=(0.0, 0.0), receiver_snapped=(0.0, 0.0),
+            decorr_m=100.0, min_distance_m=10.0,
         )
-        assert est.rho == 1.0
-        assert not est.clamped
+        assert rho[0] == 1.0
+        assert not clamped[0]
         expected_r = math.hypot(300.0, 100.0)
-        assert math.isclose(est.grid_distance_m, expected_r, rel_tol=1e-14)
-        assert math.isclose(est.power_est, math.exp(0.7) * expected_r**-3.5, rel_tol=1e-12)
+        assert math.isclose(r_hat[0], expected_r, rel_tol=1e-14)
+        assert math.isclose(est[0], math.exp(0.7) * expected_r**-3.5, rel_tol=1e-12)
 
     def test_receiver_cell_collision_clamped(self):
-        stream = np.random.default_rng(21)
-        g = _link(0.0, 30.0)
-        est = estimate_link(
-            stream, g,
-            true_pos=Point(20.0, 20.0), snapped_pos=Point(25.0, 25.0),
-            receiver_true=Point(4.0, 4.0), receiver_snapped=Point(25.0, 25.0),
-            decorr_m=100.0, sigma_db=8.0, min_distance_m=10.0,
+        fresh = sample_shadows(np.random.default_rng(21), 1, 8.0)
+        est, rho, r_hat, clamped = estimate_links(
+            fresh, 1.0, 3.5, np.array([0.0]),
+            true_xy=[[20.0, 20.0]], snapped_xy=[[25.0, 25.0]],
+            receiver_true=(4.0, 4.0), receiver_snapped=(25.0, 25.0),
+            decorr_m=100.0, min_distance_m=10.0,
         )
-        assert est.clamped
-        assert est.grid_distance_m == 10.0
+        assert clamped[0]
+        assert r_hat[0] == 10.0
 
     def test_decorrelated_estimate_keeps_marginal(self):
         stream = np.random.default_rng(22)
@@ -50,8 +53,8 @@ class TestEstimateLink:
             sample_shadows(stream, n, 8.0), 1.0, 3.5, shadows,
             true_xy=np.tile([5000.0, 0.0], (n, 1)),
             snapped_xy=np.tile([0.0, 0.0], (n, 1)),
-            receiver_true=Point(0.0, -500.0),
-            receiver_snapped=Point(0.0, -500.0),
+            receiver_true=(0.0, -500.0),
+            receiver_snapped=(0.0, -500.0),
             decorr_m=100.0, min_distance_m=10.0,
         )
         assert np.allclose(rho, 0.5**50)
@@ -68,8 +71,8 @@ class TestEstimateLink:
             sample_shadows(stream, n, 8.0), 1.0, 3.5, shadows,
             true_xy=np.tile([400.0, 0.0], (n, 1)),
             snapped_xy=np.tile([300.0, 0.0], (n, 1)),
-            receiver_true=Point(0.0, 100.0),
-            receiver_snapped=Point(0.0, 0.0),
+            receiver_true=(0.0, 100.0),
+            receiver_snapped=(0.0, 0.0),
             decorr_m=100.0, min_distance_m=10.0,
         )
         assert np.allclose(rho, 0.25)
@@ -79,23 +82,17 @@ class TestEstimateLink:
 
     def test_vector_matches_scalar(self):
         shadows = sample_shadows(np.random.default_rng(26), 5, 8.0)
+        fresh = sample_shadows(np.random.default_rng(27), 5, 8.0)
         true_xy = np.array([[200.0, 50.0], [150.0, -80.0], [90.0, 90.0], [400.0, 10.0], [60.0, -60.0]])
         snapped_xy = np.array([[225.0, 75.0], [125.0, -75.0], [75.0, 75.0], [375.0, 25.0], [75.0, -75.0]])
-        rx_true, rx_snap = Point(0.0, 0.0), Point(25.0, 25.0)
-        vec = estimate_links(
-            sample_shadows(np.random.default_rng(27), 5, 8.0), 1.0, 3.5, shadows,
-            true_xy, snapped_xy, rx_true, rx_snap, 100.0, 10.0,
-        )
-        stream = np.random.default_rng(27)
+        rx_true, rx_snap = (0.0, 0.0), (25.0, 25.0)
+        vec = estimate_links(fresh, 1.0, 3.5, shadows, true_xy, snapped_xy, rx_true, rx_snap, 100.0, 10.0)
         for i in range(5):
-            one = estimate_link(
-                stream, _link(shadows[i], math.nan),
-                true_pos=Point(*true_xy[i]), snapped_pos=Point(*snapped_xy[i]),
-                receiver_true=rx_true, receiver_snapped=rx_snap,
-                decorr_m=100.0, sigma_db=8.0, min_distance_m=10.0,
+            power_est, rho = _one_link(
+                fresh[i], shadows[i], true_xy[i], snapped_xy[i], rx_true, rx_snap, 100.0, 10.0
             )
-            assert math.isclose(one.power_est, vec[0][i], rel_tol=1e-12)
-            assert math.isclose(one.rho, vec[1][i], rel_tol=1e-12)
+            assert math.isclose(power_est, vec[0][i], rel_tol=1e-12)
+            assert math.isclose(rho, vec[1][i], rel_tol=1e-12)
 
     def test_padded_block_and_clamp_mask(self):
         # a (trials, links) block with per-link power constants: every entry
@@ -107,7 +104,7 @@ class TestEstimateLink:
         snapped_xy = np.array([[[225.0, 75.0], [25.0, 25.0], [-75.0, 425.0]],
                                [[125.0, -75.0], [25.0, 25.0], [575.0, 25.0]]])
         power_const = np.array([2.0, 1.0, 1.0])
-        rx_true, rx_snap = Point(0.0, 0.0), Point(25.0, 25.0)
+        rx_true, rx_snap = (0.0, 0.0), (25.0, 25.0)
         est, rho, r_hat, clamped = estimate_links(
             fresh, power_const, 3.5, shadows, true_xy, snapped_xy, rx_true, rx_snap, 100.0, 10.0,
         )

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
@@ -50,13 +51,13 @@ class TestBesselJ0:
 
 class TestLogBesselI:
     def test_zero_order_at_origin(self):
-        val = log_bessel_i(0.0, 0.0)
-        assert math.isclose(val.value(), 1.0, rel_tol=1e-14)
+        val = log_bessel_i(0.0, np.array([0.0]))
+        assert math.isclose(math.exp(val[0]), 1.0, rel_tol=1e-14)
 
     def test_half_order_closed_form(self):
         expected = math.sqrt(2.0 / math.pi) * math.sinh(1.0)
-        val = log_bessel_i(0.5, 1.0)
-        assert math.isclose(val.value(), expected, rel_tol=1e-12)
+        val = log_bessel_i(0.5, np.array([1.0]))
+        assert math.isclose(math.exp(val[0]), expected, rel_tol=1e-12)
 
     def test_integer_order_series_oracle(self):
         # sum_k (x/2)^(2k+2) / (k! (k+2)!) summed to machine precision
@@ -68,9 +69,38 @@ class TestLogBesselI:
             if contrib < 1e-20 * total:
                 break
             k += 1
-        val = log_bessel_i(2.0, 3.0)
-        assert math.isclose(val.value(), total, rel_tol=1e-12)
+        val = log_bessel_i(2.0, np.array([3.0]))
+        assert math.isclose(math.exp(val[0]), total, rel_tol=1e-12)
         assert math.isclose(total, 2.245212440929952, rel_tol=1e-12)
+
+    def test_limits_at_origin(self):
+        assert log_bessel_i(0.0, np.zeros(2)).tolist() == [0.0, 0.0]
+        assert log_bessel_i(1.5, np.zeros(1))[0] == -math.inf
+        assert log_bessel_i(-0.25, np.zeros(1))[0] == math.inf
+
+    def test_underflow_uses_the_series(self):
+        # ive(200, x) underflows for both arguments; at x = 1e-3 two terms
+        # of the ascending series are exact to rounding
+        got = log_bessel_i(200.0, np.array([1e-3, 1.0]))
+        head = 200.0 * math.log(0.5e-3) - math.lgamma(201.0)
+        assert math.isclose(got[0], head + math.log1p(0.25e-6 / 201.0), rel_tol=1e-15)
+        assert np.isfinite(got[1])
+
+    def test_domain_checks(self):
+        with pytest.raises(ValueError):
+            log_bessel_i(0.0, np.array([1.0, -1.0]))
+        with pytest.raises(ValueError):
+            log_bessel_i(-1.0, np.array([1.0]))
+
+    def test_order_below_minus_half(self):
+        # ncx2 with 0 < dof < 1 needs orders in (-1, -0.5):
+        # I_{-0.75}(x) = I_{0.75}(x) + (2/pi) sin(0.75 pi) K_{0.75}(x)
+        from scipy import stats
+
+        x = np.array([0.5, 2.0])
+        expected = special.iv(0.75, x) + 2.0 / math.pi * math.sin(0.75 * math.pi) * special.kv(0.75, x)
+        assert np.allclose(np.exp(log_bessel_i(-0.75, x)), expected, rtol=1e-12)
+        assert np.allclose(ncx2_pdf(x, 0.5, 2.0, 1.0), stats.ncx2.pdf(x, 0.5, 2.0), rtol=1e-10)
 
 
 class TestDensities:
