@@ -62,21 +62,22 @@ def sample_shadows(stream: np.random.Generator, n: int, sigma_db: float) -> np.n
     return DB_TO_NAT * stream.normal(0.0, sigma_db, size=n)
 
 
-def gudmundson_correlation(d_tx_m, d_rx_m, decorr_m: float):
+def gudmundson_correlation(d_tx_m, d_rx_m, decorr_m):
     """Correlation between true and map shadowing when both endpoints of a
     link are displaced.
 
     Exponential decay with half-value at the decorrelation distance, one
-    factor per endpoint:  0.5**(d_tx/D) * 0.5**(d_rx/D).  Vectorized.
+    factor per endpoint:  0.5**(d_tx/D) * 0.5**(d_rx/D).  Vectorized: the
+    displacements and decorr_m broadcast against each other.
     """
-    if decorr_m <= 0.0:
+    if np.less_equal(decorr_m, 0.0).any():
         raise ValueError("decorrelation distance must be positive")
     d_tx = np.asarray(d_tx_m, dtype=float)
     d_rx = np.asarray(d_rx_m, dtype=float)
     if (d_tx < 0.0).any() or (d_rx < 0.0).any():
         raise ValueError("displacements must be non-negative")
     out = 0.5 ** (d_tx / decorr_m) * 0.5 ** (d_rx / decorr_m)
-    if np.isscalar(d_tx_m) and np.isscalar(d_rx_m):
+    if np.isscalar(d_tx_m) and np.isscalar(d_rx_m) and np.isscalar(decorr_m):
         return float(out)
     return out
 

@@ -220,23 +220,44 @@ def evaluate(batch: TrialBatch, delta: float, D_d: float) -> Evaluation:
     One rem.estimate_links call estimates every link, the protected one
     included, against the snapped receiver.
     """
+    return next(_evaluations(batch, delta, [D_d]))
+
+
+def _evaluations(batch: TrialBatch, delta: float, dds):
+    """evaluate(batch, delta, D_d) for each D_d in dds, one at a time.
+
+    The map geometry of a grid size does not depend on D_d, so one
+    estimate_links call computes it once for all of dds.  The block is
+    sorted with numpy's default (SIMD) argsort, which need not keep the
+    link order of equal estimates; only when some sorted row holds two equal
+    finite estimates is the block sorted again with the stable sort.
+    Padding needs no such care: its columns all pair an infinite estimate
+    with zero true power, so their order changes nothing.
+    """
     cfg, consts = batch.cfg, batch.consts
     power_const = np.full(batch.shadows.shape[1], consts.cr)
     power_const[0] = consts.pu
     est, _, _, clamped = estimate_links(
         batch.fresh, power_const, cfg.gamma_pl, batch.shadows, batch.xy,
-        snap_points(batch.xy, delta), _RECEIVER, snap_points(_RECEIVER, delta), D_d, cfg.R0,
+        snap_points(batch.xy, delta), _RECEIVER, snap_points(_RECEIVER, delta),
+        np.array(dds, dtype=float)[:, None, None], cfg.R0,
     )
-    secondary = np.where(batch.active, est[:, 1:], math.inf)
-    order = np.argsort(secondary, axis=1, kind="stable")
     rows = np.arange(len(batch))[:, None]
-    return Evaluation(
-        batch=batch,
-        est_sorted=secondary[rows, order],
-        true_sorted=batch.true_powers[rows, order + 1],
-        s_est=est[:, 0],
-        clamped=clamped,
-    )
+    for est_dd in est:
+        secondary = np.where(batch.active, est_dd[:, 1:], math.inf)
+        order = np.argsort(secondary, axis=1)
+        est_sorted = secondary[rows, order]
+        tie = est_sorted[:, 1:] == est_sorted[:, :-1]
+        if tie.any() and np.isfinite(est_sorted[:, 1:][tie]).any():
+            order = np.argsort(secondary, axis=1, kind="stable")
+            est_sorted = secondary[rows, order]
+        yield Evaluation(
+            batch=batch,
+            est_sorted=est_sorted,
+            true_sorted=batch.true_powers[:, 1:][rows, order],
+            s_est=est_dd[:, 0],
+            clamped=clamped,
+        )
 
 
 def sweep(batches, n_trials: int, points, reduce) -> list[np.ndarray]:
@@ -245,13 +266,22 @@ def sweep(batches, n_trials: int, points, reduce) -> list[np.ndarray]:
     batches cover trials 0 .. n_trials-1 (trial_batches, or a list of them
     to sweep again later); points are (delta, D_d) pairs.  Each batch is
     evaluated at every point before the next one is taken, so a trial is
-    drawn once however many points there are.  Returns one (n_trials,)
-    array per point.
+    drawn once however many points there are, and the points that share a
+    grid size share its map geometry.  Returns one (n_trials,) array per
+    point.
     """
     out = [np.empty(n_trials) for _ in points]
+    by_delta: dict[float, tuple[list, list]] = {}
+    for values, (delta, dd) in zip(out, points):
+        outs, dds = by_delta.setdefault(float(delta), ([], []))
+        outs.append(values)
+        dds.append(float(dd))
     for batch in batches:
-        for values, (delta, dd) in zip(out, points):
-            values[batch.trials] = reduce(evaluate(batch, float(delta), float(dd)))
+        for delta, (outs, dds) in by_delta.items():
+            # evaluations first: zip then runs the generator to its end,
+            # which frees its arrays before the next batch is drawn
+            for result, values in zip(map(reduce, _evaluations(batch, delta, dds)), outs):
+                values[batch.trials] = result
     return out
 
 

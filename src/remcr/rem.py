@@ -50,6 +50,13 @@ def estimate_links(
     (sample_shadows), which makes the estimate a pure function of the
     draws.  Returns (power_est, rho, grid_distance, clamped), clamped
     being the boolean mask of links whose cell-center distance was zero.
+
+    decorr_m broadcasts against the links too: an array of shape
+    (k, 1, ..., 1) estimates them at k decorrelation distances in one call,
+    and power_est and rho gain a leading axis of length k.  The geometry
+    (distances, path gain, clamp mask) does not depend on decorr_m and is
+    computed once; each estimate has the bits of a call at its own scalar
+    decorr_m.
     """
     true_xy = np.asarray(true_xy, dtype=float)
     snapped_xy = np.asarray(snapped_xy, dtype=float)

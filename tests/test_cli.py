@@ -90,6 +90,14 @@ class TestExitCodes:
         code, _, err = _capture(["cdf", "--trials", "0"], capsys)
         assert code == 2
 
+    def test_unwritable_output(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        code, stdout, err = _capture(["cdf", "--trials", "1", "--out", str(out)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"config error: cannot write {out}")
+        assert not out.exists()
+
     def test_fit_failure_echoes_profile(self, tmp_path, capsys):
         cfg = tmp_path / "coarse.cfg"
         cfg.write_text("delta_grid = 50\n")

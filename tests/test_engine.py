@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from remcr.channel import DB_TO_NAT, gudmundson_correlation
+from remcr import engine
+from remcr.channel import DB_TO_NAT, PowerConstants, gudmundson_correlation
 from remcr.engine import (
     TRIAL_BLOCK,
+    TrialBatch,
     degradation_samples,
     draw_trials,
     evaluate,
@@ -232,3 +236,130 @@ class TestCriticalBudgets:
         # with estimates equal to truth the violation point is past the
         # operating budget whenever it exists at all
         assert np.all(crits > budget)
+
+
+class TestSharedGeometry:
+    def test_sweep_equals_one_evaluate_per_point(self, base_cfg, consts, monkeypatch):
+        # at 79 m and 361 m the snapped receiver's np.hypot is one ulp off
+        # math.hypot; at 400 m links in the receiver's cell are clamped
+        deltas, dds = (0.0, 25.0, 79.0, 361.0, 400.0), (50.0, 100.0, 200.0)
+        # study_backoff's order: each grid size recurs among the points
+        points = [(delta, dd) for dd in dds for delta in deltas]
+        n = 2 * TRIAL_BLOCK + 3
+        batches = list(trial_batches(base_cfg, consts, n))
+        calls = []
+        estimate_links = engine.estimate_links
+        monkeypatch.setattr(engine, "estimate_links", lambda *a: calls.append(a) or estimate_links(*a))
+        seen = []
+
+        def capture(ev):
+            seen.append(ev)
+            return np.full(len(ev.batch), len(seen) - 1.0)
+
+        out = sweep(batches, n, points, capture)
+        # the geometry of a grid size is computed once for all its D_d
+        assert len(calls) == len(batches) * len(deltas)
+        monkeypatch.undo()
+        assert len(seen) == len(batches) * len(points)
+        for values, (delta, dd) in zip(out, points):
+            for batch in batches:
+                index = values[batch.trials]
+                assert np.all(index == index[0])
+                got, want = seen[int(index[0])], evaluate(batch, delta, dd)
+                assert got.batch is batch
+                for name in ("est_sorted", "true_sorted", "s_est", "clamped"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), name
+                if delta == 400.0:
+                    assert got.clamped.any()
+
+
+def _tied_block(counts, seed, n_values, n_cells):
+    """A hand-built block whose secondary links draw their fresh value from
+    n_values and their map cell from n_cells, so that links sharing both
+    have exactly equal estimates; true powers are distinct.
+
+    Evaluated at grid size 1 and D_d = 1e-6 m: every transmitter sits on a
+    cell center and the receiver's displacement is huge against D_d, so rho
+    is exactly 0 and a link's estimate is cr * exp(fresh) * r_hat**-gamma.
+    Returns the block and its unsorted secondary estimates, +inf on padding.
+    """
+    rng = np.random.default_rng(seed)
+    counts = np.asarray(counts, dtype=np.int64)
+    active = np.arange(counts.max(initial=0)) < counts[:, None]
+    values = rng.normal(0.0, 1.8, n_values)
+    cells = rng.integers(1, 400, size=(n_cells, 2)) + 0.5
+    pick_v = rng.integers(n_values, size=active.shape)
+    pick_c = rng.integers(n_cells, size=active.shape)
+    xy = np.zeros(active.shape[:1] + (1 + active.shape[1], 2))
+    fresh = np.zeros(xy.shape[:2])
+    true = np.zeros(xy.shape[:2])
+    xy[:, 0] = [500.5, 0.5]  # the licensed transmitter
+    xy[:, 1:][active] = cells[pick_c][active]
+    fresh[:, 1:][active] = values[pick_v][active]
+    true[:, 0] = 1.0
+    true[:, 1:][active] = rng.permutation(active.sum()) + 1.0
+    cfg = ScenarioConfig()
+    batch = TrialBatch(
+        cfg=cfg,
+        consts=PowerConstants(pu=1.0, cr=1.0),
+        trials=np.arange(len(counts)),
+        counts=counts,
+        active=active,
+        xy=xy,
+        shadows=np.zeros(fresh.shape),
+        fresh=fresh,
+        true_powers=true,
+    )
+    grid = xy[:, 1:] - 0.5  # the receiver's cell center is (0.5, 0.5)
+    est = np.exp(fresh[:, 1:]) * np.hypot(grid[..., 0], grid[..., 1]) ** -cfg.gamma_pl
+    return batch, np.where(active, est, math.inf)
+
+
+class TestAdmissionOrder:
+    """Admission on Evaluation against brute force, on blocks with exact
+    ties, long rows (where numpy's SIMD argsort runs), empty rows and
+    padding."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        long_row=st.integers(300, 400),
+        other_rows=st.lists(st.integers(0, 400), max_size=3),
+        at=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+        n_values=st.integers(1, 1000),
+        n_cells=st.integers(1, 1000),
+        budget_share=st.floats(0.0, 1.2),
+        cap_share=st.floats(0.0, 1.2),
+    )
+    def test_matches_brute_force(
+        self, long_row, other_rows, at, seed, n_values, n_cells, budget_share, cap_share
+    ):
+        counts = other_rows[:at] + [long_row] + other_rows[at:]
+        at = min(at, len(other_rows))
+        batch, est = _tied_block(counts, seed, n_values, n_cells)
+        ev = evaluate(batch, 1.0, 1e-6)
+        order = np.argsort(est, axis=1, kind="stable")
+        want_est = np.take_along_axis(est, order, axis=1)
+        want_true = np.take_along_axis(batch.true_powers[:, 1:], order, axis=1)
+        assert np.array_equal(ev.est_sorted, want_est)
+        assert np.array_equal(ev.true_sorted, want_true)
+
+        budget = budget_share * float(np.sum(want_est[at, :long_row]))
+        admitted = ev.admitted(budget)
+        cap = cap_share * float(np.sum(want_true[at, :long_row]))
+        critical = ev.critical_budgets(cap)
+        for row, n in enumerate(counts):
+            k = admitted[row]
+            cum = np.cumsum(want_est[row, :n])
+            # the longest prefix whose estimated sum is within budget
+            assert 0 <= k <= n
+            assert k == 0 or cum[k - 1] <= budget
+            assert k == n or cum[k] > budget
+            crit, sum_true, sum_est = math.inf, 0.0, 0.0
+            for e, t in zip(want_est[row, :n], want_true[row, :n]):
+                sum_true += t
+                sum_est += e
+                if sum_true > cap:
+                    crit = sum_est
+                    break
+            assert critical[row] == crit
