@@ -9,11 +9,12 @@ distribution, which fixes the interference scale of every study.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from remcr.scenario import DB_TO_NAT, ScenarioConfig, derive_stream
+from remcr.scenario import DB_TO_NAT, ConfigError, ScenarioConfig, derive_stream
 
 __all__ = [
     "PowerConstants",
@@ -86,12 +87,24 @@ def _link_quantile(
     cfg: ScenarioConfig, r_inner: float, r_outer: float, n_samples: int, tag: str
 ) -> float:
     """5th percentile of exp(X) * r**(-gamma_pl) over shadowing and a link
-    distance drawn like the annulus placements (r**2 uniform)."""
+    distance drawn like the annulus placements (r**2 uniform).
+
+    A ConfigError if that percentile is not finite and positive: the
+    transmit power that meets the SNR target would then be infinite or
+    undefined (sigma_dB = 1e5 underflows the percentile to 0)."""
     stream = derive_stream(cfg.master_seed, 0, tag)
     rr = stream.uniform(r_inner * r_inner, r_outer * r_outer, size=n_samples)
     shadows = DB_TO_NAT * stream.normal(0.0, cfg.sigma_dB, size=n_samples)
-    gains = np.exp(shadows) * np.sqrt(rr) ** (-cfg.gamma_pl)
-    return float(np.quantile(gains, SNR_TARGET_QUANTILE))
+    with np.errstate(over="ignore"):  # gains far above the percentile may be inf
+        gains = np.exp(shadows) * np.sqrt(rr) ** (-cfg.gamma_pl)
+    q = float(np.quantile(gains, SNR_TARGET_QUANTILE))
+    if not (math.isfinite(q) and q > 0.0):
+        link = "licensed" if tag == _CAL_PU_TAG else "secondary"
+        raise ConfigError(
+            f"cannot calibrate the {link} link: its 5th-percentile gain is {q:g} "
+            f"(sigma_dB = {cfg.sigma_dB:g}, gamma_pl = {cfg.gamma_pl:g})"
+        )
+    return q
 
 
 def _licensed_quantile(cfg: ScenarioConfig, n_samples: int) -> float:

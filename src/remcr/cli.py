@@ -1,6 +1,7 @@
 """Command line front end: run a study, serialize its table, exit clean.
 
-Exit codes: 0 success, 2 configuration or usage error, 3 moment-fit failure.
+Exit codes: 0 success, 1 a `validate` self-check failed, 2 configuration or
+usage error, 3 moment-fit failure.
 Output is schema-stable: fixed header names, floats rendered with 9
 significant digits, so reruns with the same seed are byte-identical.
 """
@@ -186,7 +187,11 @@ def run(argv=None) -> int:
         return 2
 
     if args.command == "validate":
-        return _run_validate(cfg)
+        try:
+            return _run_validate(cfg)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
 
     trials = args.trials if args.trials is not None else _TRIAL_DEFAULTS[args.command]
     if trials < 1:

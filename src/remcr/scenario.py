@@ -194,4 +194,6 @@ def load_scenario(path) -> ScenarioConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"scenario file {path} is not UTF-8 text: {exc}") from None
     return parse_scenario(text, source=str(path))

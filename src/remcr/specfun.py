@@ -6,6 +6,11 @@ only at the very end.  The primitive functions (log-gamma, Bessel J0, scaled
 Bessel I) are delegated to scipy.special, which is accurate to near machine
 precision on the domains used; the densities and survival functions built on
 top of them are assembled here in log space.
+
+scipy.special is imported inside the functions that call it, so it loads on
+the first call and not with this module: the map-precision studies import
+this module through remcr.lcr but never evaluate a special function, and the
+import costs about 0.3 s of their start-up.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as _sp
 
 __all__ = [
     "ln_gamma",
@@ -32,6 +36,8 @@ def ln_gamma(x):
     Vectorized over x.  Raises ValueError on non-positive input, where the
     real-valued log would not be defined for our uses.
     """
+    from scipy import special as _sp
+
     arr = np.asarray(x, dtype=float)
     if np.any(arr <= 0.0):
         raise ValueError("ln_gamma requires x > 0")
@@ -41,6 +47,8 @@ def ln_gamma(x):
 
 def bessel_j0(x):
     """Bessel function of the first kind, order zero.  Vectorized."""
+    from scipy import special as _sp
+
     arr = np.asarray(x, dtype=float)
     out = _sp.j0(arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
@@ -50,6 +58,8 @@ def _log_i_series(order: float, x: float) -> float:
     # Leading ascending-series terms, used only if the scaled Bessel
     # underflows (tiny x with large order).  log I_nu(x) ~ nu*log(x/2)
     # - lnGamma(nu+1) + log(1 + r1 + r1*r2 + ...), r_k = (x^2/4)/(k*(nu+k)).
+    from scipy import special as _sp
+
     q = 0.25 * x * x
     head = order * math.log(0.5 * x) - _sp.gammaln(order + 1.0)
     total = 1.0
@@ -72,6 +82,8 @@ def log_bessel_i(order: float, x) -> np.ndarray:
     limit is 0, -inf or +inf as the order is zero, positive or negative;
     where the scaled Bessel ive underflows the ascending series takes over.
     """
+    from scipy import special as _sp
+
     if not order > -1.0:
         raise ValueError("log_bessel_i requires order > -1")
     x = np.asarray(x, dtype=float)
@@ -97,6 +109,8 @@ def gamma_pdf(x, shape: float, rate: float):
     - lnGamma(shape)).  Vectorized over x; x = 0 follows the usual limits
     (rate for shape = 1, +inf below, 0 above).
     """
+    from scipy import special as _sp
+
     if shape <= 0.0 or rate <= 0.0:
         raise ValueError("gamma_pdf requires shape > 0 and rate > 0")
     arr = np.asarray(x, dtype=float)
@@ -126,6 +140,8 @@ def gamma_pdf(x, shape: float, rate: float):
 def gamma_sf(x, shape: float, rate: float):
     """Survival function of the gamma law, via the regularized upper
     incomplete gamma Q(shape, rate*x).  Vectorized over x."""
+    from scipy import special as _sp
+
     if shape <= 0.0 or rate <= 0.0:
         raise ValueError("gamma_sf requires shape > 0 and rate > 0")
     arr = np.asarray(x, dtype=float)
@@ -199,6 +215,8 @@ def ncx2_sf(x, dof: float, noncentrality: float, scale: float):
         is cut before the mode and the result is not bounded.
     Vectorized over x.
     """
+    from scipy import special as _sp
+
     if dof <= 0.0 or scale <= 0.0 or noncentrality < 0.0:
         raise ValueError("ncx2_sf requires dof > 0, scale > 0, noncentrality >= 0")
     arr = np.asarray(x, dtype=float)

@@ -13,7 +13,7 @@ from remcr.channel import (
     sample_shadows,
 )
 from remcr.geometry import sample_annulus_points
-from remcr.scenario import ScenarioConfig
+from remcr.scenario import ConfigError, ScenarioConfig
 
 LN10_OVER_10 = math.log(10.0) / 10.0
 
@@ -84,6 +84,12 @@ class TestGudmundson:
 
 
 class TestCalibration:
+    def test_underflowed_percentile_is_a_config_error(self):
+        # exp of a 1e5 dB shadow underflows: the licensed link's 5th-percentile
+        # gain is 0 and no finite transmit power meets the SNR target
+        with pytest.raises(ConfigError, match="cannot calibrate the licensed link"):
+            calibrate(ScenarioConfig(sigma_dB=1e5))
+
     def test_protected_link_coverage_self_consistency(self, base_cfg, consts):
         stream = np.random.default_rng(16)
         n = 200_000

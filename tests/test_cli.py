@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from remcr import __version__
@@ -76,6 +77,29 @@ class TestExitCodes:
         code, _, err = _capture(["cdf", "--config", str(bad)], capsys)
         assert code == 2
         assert f"{bad}:2" in err
+
+    def test_non_utf8_config(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"R = 1000\n\xff\xfe\n")
+        code, out, err = _capture(["cdf", "--config", str(bad), "--trials", "3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: scenario file {bad} is not UTF-8")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["cdf", "--trials", "3"], ["validate"]])
+    def test_calibration_underflow(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("sigma_dB = 1e5\n")
+        code, _, err = _capture(argv + ["--config", str(cfg)], capsys)
+        assert code == 2
+        assert err.startswith("config error: cannot calibrate the licensed link")
+
+    def test_validate_failure_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr("remcr.cli.snap_points", lambda points, delta: np.zeros(2))
+        code, out, _ = _capture(["validate"], capsys)
+        assert code == 1
+        assert any(l.startswith("FAIL - grid-snap") for l in out.splitlines())
 
     def test_unknown_subcommand(self, capsys):
         assert _capture(["frobnicate"], capsys)[0] == 2

@@ -1,8 +1,12 @@
+import dataclasses
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from remcr.scenario import (
     ConfigError,
@@ -130,3 +134,29 @@ class TestParseScenario:
     def test_bad_value(self):
         with pytest.raises(ConfigError, match=r"mem:1"):
             parse_scenario("R = abc\n", source="mem")
+
+
+_KEYS = [f.name for f in dataclasses.fields(ScenarioConfig)]
+_VALUES = ["nan", "inf", "-inf", "-0", "0", "1e400", "-1e400", "1e3", "", "none",
+           "1", "2.5", "10", "100", "1000", "-5", "1e-320", "abc"]
+_LINES = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(_KEYS + ["bogus", "r"]), st.sampled_from(_VALUES)),
+    st.sampled_from(["", "# comment", "no pair here", "= 3"]),
+)
+
+
+class TestParseScenarioProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(lines=st.lists(_LINES, max_size=8))
+    def test_config_with_finite_fields_or_config_error(self, lines):
+        # known and unknown keys, duplicates, non-finite, overflowing and
+        # empty values: either a usable config or a ConfigError, nothing else
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                cfg = parse_scenario("\n".join(lines), source="mem")
+        except ConfigError:
+            return
+        for f in dataclasses.fields(cfg):
+            value = getattr(cfg, f.name)
+            assert value is None or math.isfinite(value), f.name

@@ -1,4 +1,7 @@
+import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +10,6 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy import special
 
-from remcr import specfun
 from remcr.specfun import (
     bessel_j0,
     gamma_pdf,
@@ -184,7 +186,7 @@ class TestNcx2SfStoppingRule:
             calls.append(a)
             return gammaincc(a, y)
 
-        monkeypatch.setattr(specfun._sp, "gammaincc", counted)
+        monkeypatch.setattr(special, "gammaincc", counted)
         ncx2_sf(np.linspace(0.2, 1.6, 15), *STALLING_FIT)
         # w_j underflows past j = 1163 for h = 290.9; the old rule ran 100 001 terms
         assert 0.5 * STALLING_FIT[1] < len(calls) <= 1200
@@ -202,3 +204,32 @@ class TestNcx2SfStoppingRule:
         sf = ncx2_sf(x, dof, noncentrality, scale)
         assert np.all((sf >= 0.0) & (sf <= 1.0))
         assert np.all(np.diff(sf) <= 0.0)
+
+
+_IMPORT_GUARD = """
+import json, sys
+import remcr, remcr.cli, remcr.experiments
+codes = [remcr.cli.run([study, "--trials", "3", "--out", f"{sys.argv[1]}/{study}.csv"])
+         for study in ("cdf", "grid-tradeoff", "backoff")]
+before = "scipy.special" in sys.modules
+from remcr import specfun
+value = specfun.gamma_sf(1.0, 2.0, 1.0)
+after = "scipy.special" in sys.modules
+import scipy.special
+print(json.dumps({"codes": codes, "before": before, "after": after,
+                  "equal": bool(value == scipy.special.gammaincc(2.0, 1.0))}))
+"""
+
+
+class TestLazyImport:
+    def test_scipy_special_loads_on_first_call(self, tmp_path):
+        # the admission studies never evaluate a special function, so a fresh
+        # process running them must not pay for importing scipy.special
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(tmp_path)],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        assert got["codes"] == [0, 0, 0]
+        assert not got["before"]
+        assert got["equal"]
+        assert got["after"]
