@@ -279,24 +279,24 @@ def _lcr_aed_tables(
             cfg, prof, kf, thr_lin, mc_runs, f"mc-{fading}-{pname}"
         )
         for j in range(len(thr_db)):
-                lcr_rows.append(
-                    (
-                        fading,
-                        pname,
-                        float(thr_db[j]),
-                        float(analytic.lcr[j] / cfg.f_D),
-                        float(mc.rates[j] / cfg.f_D),
-                    )
+            lcr_rows.append(
+                (
+                    fading,
+                    pname,
+                    float(thr_db[j]),
+                    float(analytic.lcr[j] / cfg.f_D),
+                    float(mc.rates[j] / cfg.f_D),
                 )
-                aed_rows.append(
-                    (
-                        fading,
-                        pname,
-                        float(thr_db[j]),
-                        float(analytic.aed[j]),
-                        float(mc.aeds[j]),
-                    )
+            )
+            aed_rows.append(
+                (
+                    fading,
+                    pname,
+                    float(thr_db[j]),
+                    float(analytic.aed[j]),
+                    float(mc.aeds[j]),
                 )
+            )
     lcr_table = StudyTable(
         headers=("fading", "profile", "threshold_db", "lcr_analytic_norm", "lcr_mc_norm"),
         rows=tuple(lcr_rows),

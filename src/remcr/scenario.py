@@ -90,6 +90,13 @@ class ScenarioConfig:
             raise ConfigError("noise_power must be positive")
         if self.buffer_dB <= 0.0:
             raise ConfigError("buffer_dB must be positive")
+        for name in ("buffer_dB", "K_dB"):
+            value_db = getattr(self, name)
+            try:
+                if value_db is not None:
+                    10.0 ** (value_db / 10.0)
+            except OverflowError:
+                raise ConfigError(f"{name} = {value_db} overflows as a linear ratio") from None
         if self.cr_density < 0.0:
             raise ConfigError("cr_density must be non-negative")
         if self.f_D <= 0.0:

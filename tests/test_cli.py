@@ -95,6 +95,23 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("config error: cannot calibrate the licensed link")
 
+    @pytest.mark.parametrize(
+        "line, argv",
+        [
+            ("buffer_dB = 5000", ["cdf", "--trials", "3"]),
+            ("buffer_dB = 5000", ["validate"]),
+            ("K_dB = 5000", ["lcr", "--trials", "30"]),
+        ],
+    )
+    def test_linear_overflow_config(self, tmp_path, capsys, line, argv):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = _capture(argv + ["--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: {cfg}: {line.split()[0]} = 5000.0 overflows")
+        assert "Traceback" not in err
+
     def test_validate_failure_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr("remcr.cli.snap_points", lambda points, delta: np.zeros(2))
         code, out, _ = _capture(["validate"], capsys)

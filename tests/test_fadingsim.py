@@ -125,12 +125,12 @@ _DT = 1.0 / 1600.0
 _N = 160 * _BLOCK - 13  # 16 s, angles to ~2500 rad; not a whole number of blocks
 
 
-def _power_and_direct(seed, weights, k):
+def _power_and_direct(seed, weights, k, dt=_DT):
     """generate_fading's trace and the weighted float64 sum of its paths."""
     ref = np.random.default_rng(seed)
-    t = np.arange(_N) * _DT
+    t = np.arange(_N) * dt
     direct = sum(w * _direct_power(_old_path_params(ref, k, 25.0), t) for w in weights)
-    return generate_fading(np.random.default_rng(seed), weights, k, 25.0, _DT, _N * _DT).samples, direct
+    return generate_fading(np.random.default_rng(seed), weights, k, 25.0, dt, _N * dt).samples, direct
 
 
 class TestPathPower:
@@ -146,6 +146,15 @@ class TestPathPower:
     def test_unequal_aggregate_matches_weighted_direct_sum(self, k):
         weights = [0.2, 0.5, 1.7]
         power, expected = _power_and_direct(63, weights, k)
+        assert np.max(np.abs(power - expected)) <= 1e-5 * sum(weights)
+
+    @pytest.mark.parametrize("k", [0.0, 10.0])
+    @pytest.mark.parametrize("weights", [[1.0], list(np.linspace(0.1, 2.1, 11))], ids=["one", "eleven"])
+    def test_coarsest_grid_matches_direct_sum(self, k, weights):
+        # dt * f_D = 1/32, the precondition's limit: the unreduced in-block
+        # angles reach 2 pi (B - 1) / 32 = 31.2 rad and the head angles
+        # 5000 rad.  Eleven paths leave a partial last group of three.
+        power, expected = _power_and_direct(65, weights, k, dt=1.0 / 800.0)
         assert np.max(np.abs(power - expected)) <= 1e-5 * sum(weights)
 
     def test_rician_path_keeps_its_line_of_sight_phasor(self):
@@ -246,6 +255,16 @@ class TestMergeCounted:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             merge_counted([], 16.0)
+
+    def test_different_threshold_grids_rejected(self):
+        series = generate_fading(np.random.default_rng(51), [1.0], 0.0, 25.0, 1.0 / 1600.0, 8.0)
+        a = count_crossings(series, [0.3, 1.0, 2.0])
+        b = count_crossings(series, [0.3, 1.0, 2.5])
+        with pytest.raises(ValueError, match="one threshold grid"):
+            merge_counted([a, b], 8.0)
+        with pytest.raises(ValueError, match="one threshold grid"):
+            merge_counted([a, count_crossings(series, [0.3, 1.0])], 8.0)
+        assert np.array_equal(merge_counted([a, a], 8.0).rates, a.rates)
 
 
 class TestDegradationCdf:

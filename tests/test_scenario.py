@@ -101,6 +101,12 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             ScenarioConfig(**{name: value})
 
+    @pytest.mark.parametrize("name", ("buffer_dB", "K_dB"))
+    def test_linear_overflow_rejected(self, name):
+        with pytest.raises(ConfigError, match=f"{name} = 5000.0 overflows"):
+            ScenarioConfig(**{name: 5000.0})
+        assert getattr(ScenarioConfig(**{name: 3000.0}), name) == 3000.0
+
     def test_non_finite_rejected_when_parsed(self):
         with pytest.raises(ConfigError, match=r"mem: sigma_dB must be finite"):
             parse_scenario("sigma_dB = nan\n", source="mem")
