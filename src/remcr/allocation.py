@@ -22,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "InterferenceProfile",
+    "profile_weights",
     "degradation_db",
     "select_extreme_profiles",
 ]
@@ -55,6 +56,15 @@ class InterferenceProfile:
 
     def __len__(self) -> int:
         return len(self.weights)
+
+
+def profile_weights(profile) -> np.ndarray:
+    """The weights of a profile (or of a plain weight sequence) as a float
+    array, checked to be non-empty, 1-D, positive and finite."""
+    w = np.asarray(getattr(profile, "weights", profile), dtype=float)
+    if w.ndim != 1 or len(w) == 0 or not np.all(np.isfinite(w) & (w > 0.0)):
+        raise ValueError("profile must hold at least one positive finite weight")
+    return w
 
 
 def degradation_db(profile: InterferenceProfile, noise_power: float) -> float:

@@ -1,17 +1,11 @@
 """Monte Carlo fading synthesis and empirical crossing statistics.
 
-The aggregate interference process is synthesized path by path with a
-sum-of-sinusoids model: each quadrature component of a path is a sum of
-M = 32 cosines with independent random arrival angles and phases, giving the
-classical zeroth-order-Bessel autocorrelation per component.  A Rician path
-adds a fixed line-of-sight phasor carrying K/(K+1) of the path power.  The
-sinusoids are evaluated block-wise on the uniform time grid by angle addition,
-as one small float32 matrix product of phasors per path.  The block-start
-angles are reduced exactly in turns (whole cycles) before they are rounded to
-float32; the in-block angles stay unreduced, because the precondition on dt
-bounds them by about 31 rad.  Paths' squared envelopes are summed in float32
-in groups of up to eight and each group is added into the float64 trace (see
-generate_fading for the error this leaves, under 1e-5 of the weight sum).
+The aggregate interference process is synthesized path by path as filtered
+white Gaussian noise (Smith 1975; Young & Beaulieu 2000): complex Gaussian
+draws on the Doppler bins are shaped by the discretized Jakes spectrum and
+inverse-FFT'd, which gives each path a complex Gaussian envelope with the
+classical zeroth-order-Bessel autocorrelation.  A Rician path adds a fixed
+line-of-sight phasor carrying K/(K+1) of the path power.
 
 Crossing counting is discrete: an upcrossing of level T happens at tick k
 when samples[k] < T <= samples[k+1].  No sub-sample interpolation is applied;
@@ -26,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from remcr.allocation import profile_weights
+
 __all__ = [
     "FadingSeries",
     "EmpiricalCurve",
@@ -34,10 +30,7 @@ __all__ = [
     "merge_counted",
 ]
 
-OSCILLATORS = 32  # per quadrature component per path
-_BLOCK = 160  # samples per block of the time grid, about sqrt(n) for a default run
-_TWO_PI = 2.0 * math.pi
-_GROUP = 8  # paths summed in float32 before each add into the float64 trace
+_BATCH = 8  # paths transformed together; bounds the memory of a batch
 
 
 @dataclass(frozen=True)
@@ -65,20 +58,6 @@ class EmpiricalCurve:
     aeds: np.ndarray
 
 
-def _draw_profile(stream: np.random.Generator, n_paths: int, k_factor: float, doppler_hz: float):
-    """Oscillator draws of n_paths paths from one uniform call.
-
-    Row p holds path p's I arrival angles and phases, then its Q ones, then
-    its line-of-sight phase if k_factor > 0: the order of one draw per path.
-    Returns the angular frequencies and phases, each (n_paths, 2, M), and the
-    line-of-sight phases, (n_paths, 1) or (n_paths, 0).
-    """
-    m = OSCILLATORS
-    draws = stream.uniform(0.0, _TWO_PI, size=(n_paths, 4 * m + (k_factor > 0.0)))
-    angles = draws[:, : 4 * m].reshape(n_paths, 2, 2, m)  # (path, I/Q, arrival/phase, M)
-    return _TWO_PI * doppler_hz * np.cos(angles[:, :, 0]), angles[:, :, 1], draws[:, 4 * m :]
-
-
 def generate_fading(
     stream: np.random.Generator,
     profile,
@@ -91,37 +70,24 @@ def generate_fading(
 
     Requires dt * doppler_hz <= 1/32 and duration * doppler_hz >= 200 so the
     trace resolves individual fades and holds enough of them to be useful.
-    Each path gets independent oscillator draws; per path the mean of the
-    squared envelope is 1, so the aggregate mean is the weight sum.
+    Each path gets independent draws; per path the mean of the squared
+    envelope is 1, so the aggregate mean is the weight sum.
 
-    All paths' oscillators come from one uniform draw (see _draw_profile).
-    The grid t = k * dt is cut into blocks of _BLOCK samples, t = t0_j + tau_m.
-    With x = w t0_j + phi and z = -w tau_m, angle addition gives
-        cos(w t + phi) = cos x cos z + sin x sin z,
-    so each quadrature component of a path is one float32
-    (blocks x 2M) @ (2M x _BLOCK) product of the phasors [cos x, sin x] and
-    [cos z, sin z]: M (blocks + _BLOCK) angles instead of M n.
-
-    The head angles x grow with t, so they are reduced in turns:
-    u = (w / 2 pi) t0_j + phi / 2 pi is formed in float64, u - rint(u) lies
-    in [-1/2, 1/2], and 2 pi times it is rounded once to float32, where the
-    phasors are taken.  The reduction is exact, so the error does not grow
-    with t.  The tail angles z are not reduced: |z| <= 2 pi doppler_hz
-    (_BLOCK - 1) dt <= 31.2 rad under the precondition, so rounding them to
-    float32 costs at most 2^-24 * 31.2, about 1.9e-6 rad, whatever the
-    duration.  The product, the line-of-sight phasor (one broadcast add) and
-    the squared envelope are float32; the powers of up to _GROUP paths are
-    summed in one float32 buffer, which is added into the float64 trace once
-    per group.  A sample's error is then float32 rounding of the 2M terms,
-    of their sum and of the group sum, so it grows with the envelope.
-    Against a float64 sum of cosines over 25 587 samples, 1-, 3-, 11- and
-    20-path profiles at seeds 60-69 measured at most 6.8e-6 of the weight
-    sum at K = 0 and 9.4e-7 at K = 10 for dt * doppler_hz = 1/64, and
-    7.6e-6 and 1.2e-6 at 1/32; the tests hold it within 1e-5.
+    Over the n = round(duration/dt) samples the Doppler band spans
+    band = doppler_hz * n * dt frequency bins, of which bins 1..k_m,
+    k_m = floor(band), and their negatives carry the Young-Beaulieu filter
+    F[k] = 1/sqrt(2 sqrt(1 - (k/band)**2)), with the edge bin k_m holding the
+    integral of the spectrum's singularity.  The draws are, in this order:
+    for a Rician profile (k_factor > 0) one line-of-sight phase per path,
+    stream.uniform(0, 2 pi, P); then per batch of up to _BATCH paths,
+    stream.standard_normal((b, 2, 2 k_m)), the real and imaginary parts on
+    bins 1..k_m followed by bins -k_m..-1.  Each path's envelope is
+    inverse-FFT'd at the short length n_c, the smallest power of two above
+    4 k_m.  The weighted power sum has no frequency above 2 k_m < n_c / 2
+    bins, so its spectrum, zero-padded to n samples, gives the full trace
+    exactly.
     """
-    weights = np.asarray(getattr(profile, "weights", profile), dtype=float)
-    if weights.ndim != 1 or len(weights) == 0 or not np.all(np.isfinite(weights) & (weights > 0.0)):
-        raise ValueError("profile must hold positive finite weights")
+    weights = profile_weights(profile)
     if not all(map(math.isfinite, (k_factor, doppler_hz, dt, duration))):
         raise ValueError("k_factor, doppler_hz, dt and duration must be finite")
     if k_factor < 0.0:
@@ -132,49 +98,32 @@ def generate_fading(
         raise ValueError("dt too coarse: need dt * doppler_hz <= 1/32")
     if duration * doppler_hz < 200.0 - 1e-9:
         raise ValueError("duration too short: need duration * doppler_hz >= 200")
-    m = OSCILLATORS
-    omegas, phases, los_phases = _draw_profile(stream, len(weights), k_factor, doppler_hz)
     n = int(round(duration / dt))
-    n_blocks = -(-n // _BLOCK)
-    block_starts = np.arange(n_blocks) * (_BLOCK * dt)
-    offsets = np.arange(_BLOCK) * -dt
-    rates, cycles = omegas / _TWO_PI, phases / _TWO_PI  # turns per second, turns
-    amps = np.sqrt(weights)
-    scales = amps * (1.0 / math.sqrt(m * (1.0 + k_factor)))
-    los = amps[:, None, None] * math.sqrt(k_factor / (1.0 + k_factor))
-    los = (los * np.stack([np.cos(los_phases), np.sin(los_phases)], axis=1)).astype(np.float32)
-    heads, tails = np.empty((2, 2 * m, n_blocks), np.float32), np.empty((2, 2 * m, _BLOCK), np.float32)
-    turns, whole = np.empty((2, m, n_blocks)), np.empty((2, m, n_blocks))
-    head_angles, tail_angles = np.empty((2, m, n_blocks), np.float32), np.empty((2, m, _BLOCK))
-    field = np.empty((2, n_blocks, _BLOCK), np.float32)
-    flat = field.reshape(2, -1)[:, :n]
-    group = np.empty(n, np.float32)
-    total = np.zeros(n)
-    last = len(weights) - 1
-    for p in range(len(weights)):
-        np.multiply(rates[p, :, :, None], block_starts, out=turns)
-        turns += cycles[p, :, :, None]
-        np.rint(turns, out=whole)
-        turns -= whole
-        np.multiply(turns, _TWO_PI, out=head_angles, casting="same_kind")
-        np.cos(head_angles, out=heads[:, :m])
-        np.sin(head_angles, out=heads[:, m:])
-        np.multiply(omegas[p, :, :, None], offsets, out=tail_angles)
-        np.cos(tail_angles, out=tails[:, :m], dtype=np.float32, casting="same_kind")
-        np.sin(tail_angles, out=tails[:, m:], dtype=np.float32, casting="same_kind")
-        tails *= np.float32(scales[p])
-        np.matmul(heads.transpose(0, 2, 1), tails, out=field)
-        if k_factor > 0.0:
-            flat += los[p]
-        np.square(field, out=field)
-        if p % _GROUP == 0:
-            np.add(flat[0], flat[1], out=group)
-        else:
-            group += flat[0]
-            group += flat[1]
-        if p % _GROUP == _GROUP - 1 or p == last:
-            total += group
-    return FadingSeries(samples=total, dt=dt, duration=n * dt)
+    band = doppler_hz * n * dt
+    k_m = int(band)
+    n_c = 1 << (4 * k_m).bit_length()
+    k = np.arange(1, k_m)
+    edge = math.sqrt(k_m / 2.0 * (math.pi / 2.0 - math.atan((k_m - 1) / math.sqrt(2.0 * k_m - 1))))
+    half = np.append(1.0 / np.sqrt(2.0 * np.sqrt(1.0 - (k / band) ** 2)), edge)
+    half *= n_c / math.sqrt(4.0 * (1.0 + k_factor) * np.sum(half**2))
+    filt = np.concatenate([half, half[::-1]])
+    bins = np.r_[1 : k_m + 1, n_c - k_m : n_c]
+    los = np.zeros(len(weights))
+    if k_factor > 0.0:
+        phases = stream.uniform(0.0, 2.0 * math.pi, len(weights))
+        los = math.sqrt(k_factor / (1.0 + k_factor)) * np.exp(1j * phases)
+    coarse = np.zeros(n_c)
+    for lo in range(0, len(weights), _BATCH):
+        w = weights[lo : lo + _BATCH]
+        draws = stream.standard_normal((len(w), 2, 2 * k_m))
+        spec = np.zeros((len(w), n_c), complex)
+        spec[:, bins] = filt * (draws[:, 0] + 1j * draws[:, 1])
+        field = np.fft.ifft(spec, axis=1) + los[lo : lo + _BATCH, None]
+        coarse += w @ (field.real**2 + field.imag**2)
+    full = np.zeros(n // 2 + 1, complex)
+    full[: 2 * k_m + 1] = np.fft.rfft(coarse)[: 2 * k_m + 1]
+    samples = np.fft.irfft(full, n=n) * (n / n_c)
+    return FadingSeries(samples=samples, dt=dt, duration=n * dt)
 
 
 def count_crossings(series: FadingSeries, thresholds) -> EmpiricalCurve:

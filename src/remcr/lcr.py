@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from remcr import specfun
+from remcr.allocation import profile_weights
 
 __all__ = [
     "GammaFit",
@@ -96,22 +97,13 @@ class LcrCurve:
     aed: np.ndarray
 
 
-def _weights_of(profile) -> np.ndarray:
-    w = np.asarray(getattr(profile, "weights", profile), dtype=float)
-    if w.ndim != 1 or len(w) == 0:
-        raise ValueError("profile must hold at least one weight")
-    if np.any(w <= 0.0):
-        raise ValueError("weights must be positive")
-    return w
-
-
 def fit_gamma(profile) -> GammaFit:
     """Moment-match a gamma law to the aggregate under Rayleigh fading.
 
     Mean sum(w) and variance sum(w**2) give shape = sum(w)**2 / sum(w**2)
     and rate = sum(w) / sum(w**2).
     """
-    w = _weights_of(profile)
+    w = profile_weights(profile)
     s1 = float(np.sum(w))
     s2 = float(np.sum(w * w))
     return GammaFit(shape=s1 * s1 / s2, rate=s1 / s2)
@@ -144,7 +136,7 @@ def fit_ncx2(profile, k_factor: float) -> NcChiSqFit:
     central case: the first two moments fix dof = 2*shape, scale = 2*rate of
     the gamma fit and the third moment is no longer free.
     """
-    w = _weights_of(profile)
+    w = profile_weights(profile)
     if k_factor < 0.0:
         raise ValueError("k_factor must be non-negative")
     if k_factor == 0.0:
@@ -177,39 +169,22 @@ def fit_ncx2(profile, k_factor: float) -> NcChiSqFit:
     return max(candidates, key=lambda f: f.scale)
 
 
-def aggregate_acf(profile, doppler_hz, tau):
+def aggregate_acf(profile, doppler_hz: float, tau):
     """Normalized autocovariance of the aggregate at lags tau.
 
     Each path contributes the squared zeroth-order Bessel function of
-    2*pi*f*tau; weights enter through their squares.  doppler_hz may be a
-    scalar (shared Doppler, weights cancel) or one value per path.
+    2*pi*f_D*tau; with a shared Doppler frequency the weights cancel.
     """
-    w = _weights_of(profile)
-    tau_arr = np.asarray(tau, dtype=float)
-    f = np.asarray(doppler_hz, dtype=float)
-    if f.ndim == 0:
-        out = specfun.bessel_j0(2.0 * math.pi * float(f) * tau_arr) ** 2
-        return float(out) if np.isscalar(tau) else out
-    if f.shape != w.shape:
-        raise ValueError("per-path Doppler array must match the weight count")
-    w2 = w * w
-    j0sq = specfun.bessel_j0(2.0 * math.pi * np.outer(f, tau_arr)) ** 2
-    out = (w2 @ j0sq) / np.sum(w2)
-    return float(out[0]) if np.isscalar(tau) else out
+    profile_weights(profile)
+    out = specfun.bessel_j0(2.0 * math.pi * doppler_hz * np.asarray(tau, dtype=float)) ** 2
+    return float(out) if np.isscalar(tau) else out
 
 
-def acf_curvature_at_zero(profile, doppler_hz) -> float:
+def acf_curvature_at_zero(profile, doppler_hz: float) -> float:
     """Second derivative at lag zero of the aggregate autocovariance,
-    -4*pi**2 * sum(w**2 f**2) / sum(w**2); the weights cancel for a shared
-    Doppler frequency."""
-    w = _weights_of(profile)
-    f = np.asarray(doppler_hz, dtype=float)
-    if f.ndim == 0:
-        return -4.0 * math.pi**2 * float(f) ** 2
-    if f.shape != w.shape:
-        raise ValueError("per-path Doppler array must match the weight count")
-    w2 = w * w
-    return float(-4.0 * math.pi**2 * np.sum(w2 * f * f) / np.sum(w2))
+    -4*pi**2 * f_D**2; the weights cancel for a shared Doppler frequency."""
+    profile_weights(profile)
+    return -4.0 * math.pi**2 * float(doppler_hz) ** 2
 
 
 def lcr_rayleigh(fit: GammaFit, acf_curv: float, thresholds):

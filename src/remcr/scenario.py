@@ -90,13 +90,18 @@ class ScenarioConfig:
             raise ConfigError("noise_power must be positive")
         if self.buffer_dB <= 0.0:
             raise ConfigError("buffer_dB must be positive")
-        for name in ("buffer_dB", "K_dB"):
-            value_db = getattr(self, name)
+        try:
+            10.0 ** (self.buffer_dB / 10.0)
+        except OverflowError:
+            raise ConfigError(f"buffer_dB = {self.buffer_dB} overflows as a linear ratio") from None
+        if self.K_dB is not None:
             try:
-                if value_db is not None:
-                    10.0 ** (value_db / 10.0)
+                k_factor = 10.0 ** (self.K_dB / 10.0)
+                (1.0 + k_factor) ** 3  # the largest power rician_component_moments takes
             except OverflowError:
-                raise ConfigError(f"{name} = {value_db} overflows as a linear ratio") from None
+                raise ConfigError(f"K_dB = {self.K_dB} overflows the Rician moments") from None
+            if k_factor == 0.0:
+                raise ConfigError(f"K_dB = {self.K_dB} underflows to a zero K factor")
         if self.cr_density < 0.0:
             raise ConfigError("cr_density must be non-negative")
         if self.f_D <= 0.0:

@@ -112,6 +112,16 @@ class TestExitCodes:
         assert err.startswith(f"config error: {cfg}: {line.split()[0]} = 5000.0 overflows")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("k_db", ["-3300", "1100", "3000"])
+    def test_unusable_k_factor_config(self, tmp_path, capsys, k_db):
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text(f"K_dB = {k_db}\n")
+        code, out, err = _capture(["lcr", "--trials", "30", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: {cfg}: K_dB = {float(k_db)}")
+        assert "Traceback" not in err
+
     def test_validate_failure_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr("remcr.cli.snap_points", lambda points, delta: np.zeros(2))
         code, out, _ = _capture(["validate"], capsys)

@@ -9,10 +9,8 @@ from hypothesis.extra import numpy as hnp
 from scipy import special
 
 from remcr.fadingsim import (
-    _BLOCK,
-    OSCILLATORS,
+    _BATCH,
     FadingSeries,
-    _draw_profile,
     count_crossings,
     generate_fading,
     merge_counted,
@@ -80,115 +78,84 @@ class TestGenerateFading:
         assert np.array_equal(a.samples, b.samples)
 
 
-@dataclasses.dataclass(frozen=True)
-class _OldPathParams:
-    omega_i: np.ndarray
-    phase_i: np.ndarray
-    omega_q: np.ndarray
-    phase_q: np.ndarray
-    los_phase: float | None
-    los_i: float
-    los_q: float
-    scatter_amp: float
+def _full_length_idft(seed, weights, k, dt, duration, f_d=25.0):
+    """The generator's documented draws, each path inverse-FFT'd at the full
+    length n instead of the short length n_c."""
+    stream = np.random.default_rng(seed)
+    n = int(round(duration / dt))
+    band = f_d * n * dt
+    k_m = int(band)
+    n_c = 1 << (4 * k_m).bit_length()
+    edge = math.sqrt(k_m / 2.0 * (math.pi / 2.0 - math.atan((k_m - 1) / math.sqrt(2.0 * k_m - 1))))
+    amps = np.append(1.0 / np.sqrt(2.0 * np.sqrt(1.0 - (np.arange(1, k_m) / band) ** 2)), edge)
+    amps *= n_c / math.sqrt(4.0 * (1.0 + k) * np.sum(amps**2))
+    los = np.zeros(len(weights))
+    if k > 0.0:
+        los = math.sqrt(k / (1.0 + k)) * np.exp(1j * stream.uniform(0.0, 2.0 * math.pi, len(weights)))
+    total = np.zeros(n)
+    for w, phasor in zip(weights, los):
+        re, im = stream.standard_normal((2, 2 * k_m))
+        spectrum = np.zeros(n, complex)
+        spectrum[1 : k_m + 1] = amps * (re[:k_m] + 1j * im[:k_m])
+        spectrum[n - k_m :] = amps[::-1] * (re[k_m:] + 1j * im[k_m:])
+        total += w * np.abs(np.fft.ifft(spectrum) * (n / n_c) + phasor) ** 2
+    return total
 
 
-def _old_path_params(stream, k_factor, doppler_hz):
-    """The generator's former per-path draw: one path's oscillators and phasor."""
+class _Recorder:
+    """A generator that logs the name and result shape of every draw."""
 
-    def component():
-        angles = stream.uniform(0.0, 2.0 * math.pi, size=OSCILLATORS)
-        phases = stream.uniform(0.0, 2.0 * math.pi, size=OSCILLATORS)
-        return 2.0 * math.pi * doppler_hz * np.cos(angles), phases
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = []
 
-    omega_i, phase_i = component()
-    omega_q, phase_q = component()
-    los_phase, los_i, los_q, scatter_amp = None, 0.0, 0.0, 1.0
-    if k_factor > 0.0:
-        los_phase = stream.uniform(0.0, 2.0 * math.pi)
-        los_amp = math.sqrt(k_factor / (1.0 + k_factor))
-        los_i, los_q = los_amp * math.cos(los_phase), los_amp * math.sin(los_phase)
-        scatter_amp = math.sqrt(1.0 / (1.0 + k_factor))
-    return _OldPathParams(omega_i, phase_i, omega_q, phase_q, los_phase, los_i, los_q, scatter_amp)
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
 
+        def draw(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.draws.append((name, np.shape(out)))
+            return out
 
-def _direct_power(params, t):
-    """Squared envelope of one path as a float64 sum of cosines."""
-    norm = 1.0 / math.sqrt(len(params.omega_i))
-    comp_i = np.cos(np.outer(params.omega_i, t) + params.phase_i[:, None]).sum(axis=0) * norm
-    comp_q = np.cos(np.outer(params.omega_q, t) + params.phase_q[:, None]).sum(axis=0) * norm
-    re = params.los_i + params.scatter_amp * comp_i
-    im = params.los_q + params.scatter_amp * comp_q
-    return re * re + im * im
+        return draw
 
 
-_DT = 1.0 / 1600.0
-_N = 160 * _BLOCK - 13  # 16 s, angles to ~2500 rad; not a whole number of blocks
+_PROFILES = {"one": [1.0], "three": [0.2, 0.5, 1.7], "eleven": list(np.linspace(0.1, 2.1, 11))}
 
 
-def _power_and_direct(seed, weights, k, dt=_DT):
-    """generate_fading's trace and the weighted float64 sum of its paths."""
-    ref = np.random.default_rng(seed)
-    t = np.arange(_N) * dt
-    direct = sum(w * _direct_power(_old_path_params(ref, k, 25.0), t) for w in weights)
-    return generate_fading(np.random.default_rng(seed), weights, k, 25.0, dt, _N * dt).samples, direct
-
-
-class TestPathPower:
+class TestIdftOracle:
+    @pytest.mark.parametrize("dt_fd", [1.0 / 64.0, 1.0 / 32.0])
+    @pytest.mark.parametrize("name", sorted(_PROFILES))
     @pytest.mark.parametrize("k", [0.0, 10.0])
-    def test_matches_float64_sum_of_cosines(self, k):
-        power, expected = _power_and_direct(60, [1.0], k)
-        assert len(power) == _N
-        assert np.max(np.abs(power - expected)) <= 1e-5
-        power, expected = _power_and_direct(60, [0.3], k)
-        assert np.max(np.abs(power - expected)) <= 0.3e-5
+    def test_matches_full_length_idft(self, k, name, dt_fd):
+        # eleven paths leave a partial last batch of three
+        weights, dt = _PROFILES[name], dt_fd / 25.0
+        got = generate_fading(np.random.default_rng(60), weights, k, 25.0, dt, 16.0).samples
+        expected = _full_length_idft(60, weights, k, dt, 16.0)
+        assert len(got) == len(expected) == int(round(16.0 / dt))
+        assert np.max(np.abs(got - expected)) <= 1e-12 * sum(weights)
 
     @pytest.mark.parametrize("k", [0.0, 10.0])
-    def test_unequal_aggregate_matches_weighted_direct_sum(self, k):
-        weights = [0.2, 0.5, 1.7]
-        power, expected = _power_and_direct(63, weights, k)
-        assert np.max(np.abs(power - expected)) <= 1e-5 * sum(weights)
-
-    @pytest.mark.parametrize("k", [0.0, 10.0])
-    @pytest.mark.parametrize("weights", [[1.0], list(np.linspace(0.1, 2.1, 11))], ids=["one", "eleven"])
-    def test_coarsest_grid_matches_direct_sum(self, k, weights):
-        # dt * f_D = 1/32, the precondition's limit: the unreduced in-block
-        # angles reach 2 pi (B - 1) / 32 = 31.2 rad and the head angles
-        # 5000 rad.  Eleven paths leave a partial last group of three.
-        power, expected = _power_and_direct(65, weights, k, dt=1.0 / 800.0)
-        assert np.max(np.abs(power - expected)) <= 1e-5 * sum(weights)
-
-    def test_rician_path_keeps_its_line_of_sight_phasor(self):
-        k = 10.0
-        params = _old_path_params(np.random.default_rng(62), k, 25.0)
-        assert math.isclose(params.los_i**2 + params.los_q**2, k / (k + 1.0), rel_tol=1e-12)
-        with_los = generate_fading(np.random.default_rng(62), [1.0], k, 25.0, _DT, 16.0).samples
-        t = np.arange(len(with_los)) * _DT
-        scatter = _direct_power(dataclasses.replace(params, los_i=0.0, los_q=0.0), t)
-        # |los + s|^2 - |s|^2 = |los|^2 + 2 Re(conj(los) s): the cross term
-        # averages out over 400 Doppler times, the phasor's power stays.
-        assert abs(np.mean(with_los - scatter) - k / (k + 1.0)) < 0.05
-
-    @pytest.mark.parametrize("k", [0.0, 10.0])
-    def test_generator_reads_one_path_draw_per_weight(self, k):
-        weights = [0.2, 0.5, 0.3]
-        used = np.random.default_rng(61)
-        generate_fading(used, weights, k, 25.0, 1.0 / 1600.0, 8.0)
+    def test_stream_use(self, k):
+        weights = _PROFILES["eleven"]
+        used = _Recorder(61)
+        generate_fading(used, weights, k, 25.0, 1.0 / 1600.0, 16.0)
         ref = np.random.default_rng(61)
-        for _ in weights:
-            _old_path_params(ref, k, 25.0)
-        assert used.bit_generator.state == ref.bit_generator.state
+        expected = []
+        if k > 0.0:
+            expected.append(("uniform", np.shape(ref.uniform(0.0, 2.0 * math.pi, 11))))
+        for b in (_BATCH, 11 - _BATCH):
+            expected.append(("standard_normal", np.shape(ref.standard_normal((b, 2, 800)))))
+        assert used.draws == expected
+        assert used.rng.bit_generator.state == ref.bit_generator.state
 
-    @pytest.mark.parametrize("k", [0.0, 10.0])
-    def test_profile_draw_equals_per_path_draws(self, k):
-        stacked = np.random.default_rng(64)
-        omegas, phases, los_phases = _draw_profile(stacked, 7, k, 25.0)
-        ref = np.random.default_rng(64)
-        paths = [_old_path_params(ref, k, 25.0) for _ in range(7)]
-        assert np.array_equal(omegas, [[p.omega_i, p.omega_q] for p in paths])
-        assert np.array_equal(phases, [[p.phase_i, p.phase_q] for p in paths])
-        expected_los = [[p.los_phase] for p in paths] if k > 0.0 else np.empty((7, 0))
-        assert np.array_equal(los_phases, expected_los)
-        assert stacked.bit_generator.state == ref.bit_generator.state
+    def test_single_path_lcr_matches_closed_form(self):
+        # Rayleigh: N(T) = sqrt(2 pi) f_D sqrt(T) exp(-T) for a unit-mean path
+        f_d, levels = 25.0, np.array([0.1, 0.3, 1.0, 2.0])
+        curves = [count_crossings(series, levels) for series in _series([1.0], 0.0, runs=200, seed=62)]
+        rates = merge_counted(curves, 400.0 / f_d).rates
+        expected = math.sqrt(2.0 * math.pi) * f_d * np.sqrt(levels) * np.exp(-levels)
+        assert np.max(np.abs(rates / expected - 1.0)) <= 0.03
 
 
 class TestCountCrossings:

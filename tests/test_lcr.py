@@ -264,3 +264,14 @@ class TestCurves:
         fit = fit_ncx2(profile, 10.0)
         direct = lcr_rician(fit, 25.0, curve.thresholds)
         assert np.allclose(curve.lcr, direct, rtol=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "build",
+        [fit_gamma, lambda w: fit_ncx2(w, 10.0), lambda w: rayleigh_curve(w, 25.0),
+         lambda w: rician_curve(w, 10.0, 25.0)],
+        ids=["fit_gamma", "fit_ncx2", "rayleigh_curve", "rician_curve"],
+    )
+    def test_non_finite_weight_rejected(self, build, bad):
+        with pytest.raises(ValueError, match="positive finite weight"):
+            build([1.0, bad])

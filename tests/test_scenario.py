@@ -105,7 +105,16 @@ class TestScenarioValidation:
     def test_linear_overflow_rejected(self, name):
         with pytest.raises(ConfigError, match=f"{name} = 5000.0 overflows"):
             ScenarioConfig(**{name: 5000.0})
-        assert getattr(ScenarioConfig(**{name: 3000.0}), name) == 3000.0
+        # (1 + K)**3 of the Rician moments overflows above about 1027.5 dB
+        largest = {"buffer_dB": 3000.0, "K_dB": 1027.0}[name]
+        assert getattr(ScenarioConfig(**{name: largest}), name) == largest
+
+    @pytest.mark.parametrize(
+        "k_db, problem", [(-3300.0, "underflows"), (1100.0, "overflows"), (3000.0, "overflows")]
+    )
+    def test_unusable_k_factor_rejected(self, k_db, problem):
+        with pytest.raises(ConfigError, match=f"K_dB = {k_db} {problem}"):
+            ScenarioConfig(K_dB=k_db)
 
     def test_non_finite_rejected_when_parsed(self):
         with pytest.raises(ConfigError, match=r"mem: sigma_dB must be finite"):
