@@ -12,7 +12,6 @@ from remcr.lcr import (
     GammaFit,
     NcChiSqFit,
     FitFailureError,
-    ZeroNoncentralityError,
     fit_gamma,
     fit_ncx2,
     lcr_rayleigh,
@@ -32,7 +31,6 @@ __all__ = [
     "GammaFit",
     "NcChiSqFit",
     "FitFailureError",
-    "ZeroNoncentralityError",
     "fit_gamma",
     "fit_ncx2",
     "lcr_rayleigh",

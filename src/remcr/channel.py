@@ -21,8 +21,6 @@ __all__ = [
     "received_power",
     "sample_shadows",
     "gudmundson_correlation",
-    "calibrate_pu_power",
-    "calibrate_cr_power",
     "calibrate",
 ]
 
@@ -94,9 +92,9 @@ def _link_quantile(
     undefined (sigma_dB = 1e5 underflows the percentile to 0)."""
     stream = derive_stream(cfg.master_seed, 0, tag)
     rr = stream.uniform(r_inner * r_inner, r_outer * r_outer, size=n_samples)
-    shadows = DB_TO_NAT * stream.normal(0.0, cfg.sigma_dB, size=n_samples)
+    shadows = sample_shadows(stream, n_samples, cfg.sigma_dB)
     with np.errstate(over="ignore"):  # gains far above the percentile may be inf
-        gains = np.exp(shadows) * np.sqrt(rr) ** (-cfg.gamma_pl)
+        gains = received_power(1.0, shadows, np.sqrt(rr), cfg.gamma_pl)
     q = float(np.quantile(gains, SNR_TARGET_QUANTILE))
     if not (math.isfinite(q) and q > 0.0):
         link = "licensed" if tag == _CAL_PU_TAG else "secondary"
@@ -107,49 +105,24 @@ def _link_quantile(
     return q
 
 
-def _licensed_quantile(cfg: ScenarioConfig, n_samples: int) -> float:
-    if n_samples < 10_000:
-        raise ValueError("calibration needs at least 1e4 samples")
-    return _link_quantile(cfg, cfg.R0, cfg.R, n_samples, _CAL_PU_TAG)
+def calibrate(cfg: ScenarioConfig, n_samples: int = 200_000) -> PowerConstants:
+    """Calibrate both transmit-power constants for a scenario from
+    n_samples >= 1e4 draws of each link.
 
-
-def _pu_power(cfg: ScenarioConfig, q_pu: float) -> float:
-    return SNR_TARGET_LINEAR * cfg.noise_power / q_pu
-
-
-def _cr_power(cfg: ScenarioConfig, pu_const: float, q_pu: float, n_samples: int) -> float:
-    q_cr = _link_quantile(cfg, cfg.R0, cfg.Rc, n_samples, _CAL_CR_TAG)
-    return pu_const * q_pu / q_cr
-
-
-def calibrate_pu_power(cfg: ScenarioConfig, n_samples: int = 200_000) -> float:
-    """Transmit-power constant of the licensed system.
-
-    Chosen so the licensed receiver's SNR is at least 5 dB with probability
-    0.95 over placement and shadowing.  The 5th percentile of the link gain
-    is linear in the constant, so no search is needed:
-        pu = SNR_TARGET_LINEAR * noise_power / quantile.
-    """
-    return _pu_power(cfg, _licensed_quantile(cfg, n_samples))
-
-
-def calibrate_cr_power(cfg: ScenarioConfig, pu_const: float, n_samples: int = 200_000) -> float:
-    """Transmit-power constant of the secondary system, linear in pu_const.
-
+    The licensed constant is chosen so the licensed receiver's SNR is at
+    least 5 dB with probability 0.95 over placement and shadowing.  The 5th
+    percentile of the link gain is linear in the constant, so no search is
+    needed:
+        pu = SNR_TARGET_LINEAR * noise_power / quantile(licensed link).
     The same 95%-coverage criterion is applied to a secondary link whose
     distance spans the secondary cell (annulus [R0, Rc]), so
-        cr = pu_const * quantile(licensed link) / quantile(secondary link).
-    When pu_const came from calibrate_pu_power this makes the secondary
-    5th-percentile SNR exactly the 5 dB target; with shadowing switched off
-    the ratio approaches (Rc/R)**gamma_pl.
+        cr = pu * quantile(licensed link) / quantile(secondary link),
+    which makes the secondary 5th-percentile SNR exactly the 5 dB target;
+    with shadowing switched off the ratio cr/pu approaches (Rc/R)**gamma_pl.
     """
-    return _cr_power(cfg, pu_const, _licensed_quantile(cfg, n_samples), n_samples)
-
-
-def calibrate(cfg: ScenarioConfig, n_samples: int = 200_000) -> PowerConstants:
-    """Calibrate both transmit-power constants for a scenario; the same as
-    calibrate_pu_power followed by calibrate_cr_power, with the licensed-link
-    quantile computed once."""
-    q_pu = _licensed_quantile(cfg, n_samples)
-    pu = _pu_power(cfg, q_pu)
-    return PowerConstants(pu=pu, cr=_cr_power(cfg, pu, q_pu, n_samples))
+    if n_samples < 10_000:
+        raise ValueError("calibration needs at least 1e4 samples")
+    q_pu = _link_quantile(cfg, cfg.R0, cfg.R, n_samples, _CAL_PU_TAG)
+    pu = SNR_TARGET_LINEAR * cfg.noise_power / q_pu
+    q_cr = _link_quantile(cfg, cfg.R0, cfg.Rc, n_samples, _CAL_CR_TAG)
+    return PowerConstants(pu=pu, cr=pu * q_pu / q_cr)

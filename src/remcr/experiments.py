@@ -266,13 +266,10 @@ def _lcr_aed_tables(
     ]
     # Fit everything before spending time on Monte Carlo so a moment-fit
     # failure surfaces immediately.
-    analytic_curves = {}
-    for fading, kf, pname, prof in combos:
-        if fading == "rayleigh":
-            curve = lcrmod.rayleigh_curve(prof, cfg.f_D, cfg.noise_power, thr_lin)
-        else:
-            curve = lcrmod.rician_curve(prof, kf, cfg.f_D, cfg.noise_power, thr_lin)
-        analytic_curves[(fading, pname)] = curve
+    analytic_curves = {
+        (fading, pname): lcrmod.rician_curve(prof, kf, cfg.f_D, cfg.noise_power, thr_lin)
+        for fading, kf, pname, prof in combos
+    }
     for fading, kf, pname, prof in combos:
         analytic = analytic_curves[(fading, pname)]
         mc = _mc_crossing_curve(

@@ -1,24 +1,17 @@
 """Analytic level-crossing rates and exceedance durations for the aggregate.
 
 With N admitted transmitters the instantaneous aggregate interference is
-sum_i w_i * |h_i(t)|**2 with unit-power fading per path.  Two moment-matched
-approximations make the crossing statistics tractable:
-
-* Rayleigh fading: the aggregate is approximated by a gamma process whose
-  shape/rate reproduce the exact mean and variance.  Its crossing rate at
-  level T is
-      (1 / (2*Gamma(shape))) * sqrt(2*|acf_curv| / pi)
-      * (rate*T)**(shape - 1/2) * exp(-rate*T),
-  where acf_curv is the curvature of the aggregate autocorrelation at lag 0.
-
-* Rician fading: the aggregate is approximated by a scaled noncentral
-  chi-square process with real (possibly fractional) degrees of freedom,
-  matched to the first three moments.  Its crossing rate at level T is
-      pdf(T) * sqrt(4*pi * f_D**2 * T / scale).
-
-Both formulas are evaluated in log space; moment fits that admit no valid
-noncentral chi-square parameters raise FitFailureError, mirroring a real
-limitation of the three-moment method for some weight profiles.
+sum_i w_i * |h_i(t)|**2 with unit-power fading per path.  It is approximated
+by a scaled noncentral chi-square process with real (possibly fractional)
+degrees of freedom, matched to the first three moments under Rician fading.
+Rayleigh fading is the K = 0 case: the noncentrality vanishes, the first two
+moments fix the fit, and the density is the gamma law.  Either way the
+crossing rate at level T is Rice's formula on the fitted density,
+    N(T) = pdf(T) * sqrt(slope * T),
+with slope = 4*pi * f_D**2 / scale, evaluated in log space.  Moment fits
+that admit no valid noncentral chi-square parameters raise FitFailureError,
+mirroring a real limitation of the three-moment method for some weight
+profiles.
 """
 
 from __future__ import annotations
@@ -36,7 +29,6 @@ __all__ = [
     "NcChiSqFit",
     "LcrCurve",
     "FitFailureError",
-    "ZeroNoncentralityError",
     "fit_gamma",
     "fit_ncx2",
     "rician_component_moments",
@@ -54,11 +46,6 @@ __all__ = [
 class FitFailureError(ValueError):
     """The three-moment noncentral chi-square fit has no admissible solution
     for this weight profile."""
-
-
-class ZeroNoncentralityError(ValueError):
-    """The fitted process is central; the gamma-process crossing rate applies
-    instead of the Rician formula."""
 
 
 @dataclass(frozen=True)
@@ -187,76 +174,53 @@ def acf_curvature_at_zero(profile, doppler_hz: float) -> float:
     return -4.0 * math.pi**2 * float(doppler_hz) ** 2
 
 
+def _rice_rate(fit: NcChiSqFit, slope: float, thresholds):
+    # Rice's formula pdf(T) * sqrt(slope * T) on the fitted density, in log
+    # space.  At T = 0 it takes its limit: 0 for dof > 1, +inf for dof < 1,
+    # and exp(-noncentrality/2) * sqrt(scale * slope / (2*pi)) for dof = 1.
+    t = np.asarray(thresholds, dtype=float)
+    if not np.all(t >= 0.0):  # also rejects NaN
+        raise ValueError("thresholds must be non-negative")
+    out = np.empty_like(t)
+    pos = t > 0.0
+    x = t[pos]
+    with np.errstate(over="ignore"):
+        logpdf = specfun.ncx2_logpdf(x, fit.dof, fit.noncentrality, fit.scale)
+        out[pos] = np.exp(logpdf + 0.5 * np.log(slope * x))
+    if fit.dof == 1.0:
+        out[~pos] = math.exp(-0.5 * fit.noncentrality) * math.sqrt(fit.scale * slope / (2.0 * math.pi))
+    else:
+        out[~pos] = math.inf if fit.dof < 1.0 else 0.0
+    return float(out) if np.isscalar(thresholds) else out
+
+
 def lcr_rayleigh(fit: GammaFit, acf_curv: float, thresholds):
     """Crossing rate of the gamma-process approximation at the thresholds.
 
-    Evaluated in log space; the single-path case collapses to the classical
+    The gamma law is the central fit (2*shape, 0, 2*rate), and the curvature
+    enters Rice's formula as slope = |acf_curv| / (2*pi*rate).  The
+    single-path case collapses to the classical
     sqrt(2*pi)*f_D*sqrt(rate*T)*exp(-rate*T).
     """
     if fit.shape <= 0.0 or fit.rate <= 0.0:
         raise ValueError("gamma fit parameters must be positive")
     if acf_curv >= 0.0:
         raise ValueError("autocovariance curvature at zero must be negative")
-    t = np.asarray(thresholds, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("thresholds must be non-negative")
-    out = np.zeros_like(t)
-    pos = t > 0.0
-    x = fit.rate * t[pos]
-    loglcr = (
-        -math.log(2.0)
-        - specfun.ln_gamma(fit.shape)
-        + 0.5 * math.log(2.0 * abs(acf_curv) / math.pi)
-        + (fit.shape - 0.5) * np.log(x)
-        - x
-    )
-    out[pos] = np.exp(loglcr)
-    if np.any(~pos):
-        if fit.shape < 0.5:
-            limit = math.inf
-        elif fit.shape > 0.5:
-            limit = 0.0
-        else:
-            limit = math.sqrt(2.0 * abs(acf_curv) / math.pi) / (2.0 * math.sqrt(math.pi))
-        out[~pos] = limit
-    return float(out) if np.isscalar(thresholds) else out
+    central = NcChiSqFit(dof=2.0 * fit.shape, noncentrality=0.0, scale=2.0 * fit.rate)
+    return _rice_rate(central, abs(acf_curv) / (2.0 * math.pi * fit.rate), thresholds)
 
 
 def lcr_rician(fit: NcChiSqFit, doppler_hz: float, thresholds):
     """Crossing rate of the scaled noncentral chi-square approximation.
 
     Equals pdf(T) * sqrt(4*pi * f_D**2 * T / scale), evaluated in log space.
-    A central fit (zero noncentrality) is signaled with
-    ZeroNoncentralityError; use the gamma path for it.
+    A central fit (zero noncentrality) gives the gamma-process rate.
     """
-    if fit.noncentrality == 0.0:
-        raise ZeroNoncentralityError(
-            "fit is central; use lcr_rayleigh with the matching gamma fit"
-        )
     if fit.dof <= 0.0 or fit.scale <= 0.0 or fit.noncentrality < 0.0:
         raise ValueError("invalid noncentral chi-square fit")
     if doppler_hz <= 0.0:
         raise ValueError("doppler_hz must be positive")
-    t = np.asarray(thresholds, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("thresholds must be non-negative")
-    out = np.zeros_like(t)
-    pos = t > 0.0
-    x = t[pos]
-    order = 0.5 * (fit.dof - 2.0)
-    z = np.sqrt(fit.noncentrality * fit.scale * x)
-    logi = specfun.log_bessel_i(order, z)
-    with np.errstate(over="ignore"):
-        loglcr = (
-            0.5 * math.log(math.pi)
-            + math.log(doppler_hz)
-            + 0.25 * fit.dof * np.log(fit.scale * x)
-            - 0.5 * order * math.log(fit.noncentrality)
-            - 0.5 * (fit.noncentrality + fit.scale * x)
-            + logi
-        )
-        out[pos] = np.exp(loglcr)
-    return float(out) if np.isscalar(thresholds) else out
+    return _rice_rate(fit, 4.0 * math.pi * doppler_hz**2 / fit.scale, thresholds)
 
 
 def exceedance_duration(crossing_rate, survival_prob):
@@ -280,18 +244,14 @@ def default_threshold_grid(noise_power: float = 1.0) -> tuple[np.ndarray, np.nda
 
 def rayleigh_curve(profile, doppler_hz: float, noise_power: float = 1.0,
                    thresholds=None) -> LcrCurve:
-    """Analytic LCR/AED curve for Rayleigh fading over a threshold grid."""
-    fit = fit_gamma(profile)
-    curv = acf_curvature_at_zero(profile, doppler_hz)
-    t = default_threshold_grid(noise_power)[1] if thresholds is None else np.asarray(thresholds, float)
-    lcr = lcr_rayleigh(fit, curv, t)
-    sf = specfun.gamma_sf(t, fit.shape, fit.rate)
-    return LcrCurve(thresholds=t, lcr=lcr, aed=exceedance_duration(lcr, sf))
+    """Analytic LCR/AED curve for Rayleigh fading: the K = 0 Rician curve."""
+    return rician_curve(profile, 0.0, doppler_hz, noise_power, thresholds)
 
 
 def rician_curve(profile, k_factor: float, doppler_hz: float, noise_power: float = 1.0,
                  thresholds=None) -> LcrCurve:
-    """Analytic LCR/AED curve for Rician fading over a threshold grid."""
+    """Analytic LCR/AED curve for Rician fading with linear K factor over a
+    threshold grid; k_factor = 0 is Rayleigh fading."""
     fit = fit_ncx2(profile, k_factor)
     t = default_threshold_grid(noise_power)[1] if thresholds is None else np.asarray(thresholds, float)
     lcr = lcr_rician(fit, doppler_hz, t)

@@ -23,8 +23,10 @@ __all__ = [
     "ln_gamma",
     "bessel_j0",
     "log_bessel_i",
+    "gamma_logpdf",
     "gamma_pdf",
     "gamma_sf",
+    "ncx2_logpdf",
     "ncx2_pdf",
     "ncx2_sf",
 ]
@@ -102,39 +104,44 @@ def log_bessel_i(order: float, x) -> np.ndarray:
     return out
 
 
-def gamma_pdf(x, shape: float, rate: float):
-    """Gamma density with shape/rate parameterization (mean shape/rate).
+def _density(x, logpdf, at_zero: float, name: str):
+    # exp(logpdf) at x > 0 and the x = 0 limit at_zero; a NaN x fails the
+    # x >= 0 test and is rejected rather than given the limit.
+    arr = np.asarray(x, dtype=float)
+    if not np.all(arr >= 0.0):
+        raise ValueError(f"{name} requires x >= 0")
+    out = np.full_like(arr, at_zero)
+    pos = arr > 0.0
+    with np.errstate(over="ignore"):
+        out[pos] = np.exp(logpdf(arr[pos]))
+    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
-    Evaluated in log space: exp(shape*ln(rate) + (shape-1)*ln(x) - rate*x
-    - lnGamma(shape)).  Vectorized over x; x = 0 follows the usual limits
-    (rate for shape = 1, +inf below, 0 above).
-    """
+
+def gamma_logpdf(x, shape: float, rate: float):
+    """log of the gamma density (shape/rate parameterization, mean
+    shape/rate) at x > 0:
+        shape*ln(rate) + (shape-1)*ln(x) - rate*x - lnGamma(shape).
+    Vectorized over x."""
     from scipy import special as _sp
 
     if shape <= 0.0 or rate <= 0.0:
+        raise ValueError("gamma_logpdf requires shape > 0 and rate > 0")
+    x = np.asarray(x, dtype=float)
+    if not np.all(x > 0.0):
+        raise ValueError("gamma_logpdf requires x > 0")
+    return shape * math.log(rate) + (shape - 1.0) * np.log(x) - rate * x - _sp.gammaln(shape)
+
+
+def gamma_pdf(x, shape: float, rate: float):
+    """Gamma density with shape/rate parameterization (mean shape/rate).
+
+    exp(gamma_logpdf) at x > 0; x = 0 follows the usual limits (rate for
+    shape = 1, +inf below, 0 above).  Vectorized over x.
+    """
+    if shape <= 0.0 or rate <= 0.0:
         raise ValueError("gamma_pdf requires shape > 0 and rate > 0")
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("gamma_pdf requires x >= 0")
-    out = np.zeros_like(arr)
-    pos = arr > 0.0
-    with np.errstate(over="ignore"):
-        logpdf = (
-            shape * math.log(rate)
-            + (shape - 1.0) * np.log(arr[pos])
-            - rate * arr[pos]
-            - _sp.gammaln(shape)
-        )
-        out[pos] = np.exp(logpdf)
-    zero = ~pos
-    if np.any(zero):
-        if shape == 1.0:
-            out[zero] = rate
-        elif shape < 1.0:
-            out[zero] = math.inf
-        else:
-            out[zero] = 0.0
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    at_zero = rate if shape == 1.0 else (math.inf if shape < 1.0 else 0.0)
+    return _density(x, lambda v: gamma_logpdf(v, shape, rate), at_zero, "gamma_pdf")
 
 
 def gamma_sf(x, shape: float, rate: float):
@@ -150,48 +157,49 @@ def gamma_sf(x, shape: float, rate: float):
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
-def ncx2_pdf(x, dof: float, noncentrality: float, scale: float):
-    """Density of g = (noncentral chi-square with `dof` d.o.f. and given
-    noncentrality) / scale, with real dof > 0 allowed.
-
-    Assembled in log space as
+def ncx2_logpdf(x, dof: float, noncentrality: float, scale: float):
+    """log of the density of g = (noncentral chi-square with `dof` d.o.f.
+    and given noncentrality) / scale at x > 0, with real dof > 0 allowed:
         ln(scale/2) - (noncentrality + scale*x)/2
         + (dof-2)/4 * ln(scale*x / noncentrality)
-        + ln I_{(dof-2)/2}( sqrt(noncentrality*scale*x) )
-    which stays finite for extreme arguments.  The noncentrality -> 0 limit
-    reproduces the gamma density with shape dof/2 and rate scale/2; callers
-    may pass a tiny positive noncentrality and land on that limit smoothly.
-    Vectorized over x.
+        + ln I_{(dof-2)/2}( sqrt(noncentrality*scale*x) ),
+    which stays finite for extreme arguments.  At zero noncentrality it is
+    gamma_logpdf with shape dof/2 and rate scale/2; a tiny positive
+    noncentrality lands on that limit smoothly.  Vectorized over x.
+    """
+    if dof <= 0.0 or scale <= 0.0 or noncentrality < 0.0:
+        raise ValueError("ncx2_logpdf requires dof > 0, scale > 0, noncentrality >= 0")
+    if noncentrality == 0.0:
+        return gamma_logpdf(x, 0.5 * dof, 0.5 * scale)
+    x = np.asarray(x, dtype=float)
+    if not np.all(x > 0.0):
+        raise ValueError("ncx2_logpdf requires x > 0")
+    order = 0.5 * (dof - 2.0)
+    logi = log_bessel_i(order, np.sqrt(noncentrality * scale * x))
+    return (
+        math.log(0.5 * scale)
+        - 0.5 * (noncentrality + scale * x)
+        + 0.5 * order * (np.log(scale * x) - math.log(noncentrality))
+        + logi
+    )
+
+
+def ncx2_pdf(x, dof: float, noncentrality: float, scale: float):
+    """Density of the scaled noncentral chi-square of ncx2_logpdf.
+
+    exp(ncx2_logpdf) at x > 0; x = 0 follows the limits (scale/2 *
+    exp(-noncentrality/2) for dof = 2, +inf below, 0 above).  Vectorized
+    over x.
     """
     if dof <= 0.0 or scale <= 0.0 or noncentrality < 0.0:
         raise ValueError("ncx2_pdf requires dof > 0, scale > 0, noncentrality >= 0")
-    if noncentrality == 0.0:
-        return gamma_pdf(x, 0.5 * dof, 0.5 * scale)
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("ncx2_pdf requires x >= 0")
-    out = np.zeros_like(arr)
-    pos = arr > 0.0
-    order = 0.5 * (dof - 2.0)
-    z = np.sqrt(noncentrality * scale * arr[pos])
-    logi = log_bessel_i(order, z)
-    with np.errstate(over="ignore"):
-        logpdf = (
-            math.log(0.5 * scale)
-            - 0.5 * (noncentrality + scale * arr[pos])
-            + 0.5 * order * (np.log(scale * arr[pos]) - math.log(noncentrality))
-            + logi
-        )
-        out[pos] = np.exp(logpdf)
-    zero = ~pos
-    if np.any(zero):
-        if dof == 2.0:
-            out[zero] = 0.5 * scale * math.exp(-0.5 * noncentrality)
-        elif dof < 2.0:
-            out[zero] = math.inf
-        else:
-            out[zero] = 0.0
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    if dof == 2.0:
+        at_zero = 0.5 * scale * math.exp(-0.5 * noncentrality)
+    else:
+        at_zero = math.inf if dof < 2.0 else 0.0
+    return _density(
+        x, lambda v: ncx2_logpdf(v, dof, noncentrality, scale), at_zero, "ncx2_pdf"
+    )
 
 
 def ncx2_sf(x, dof: float, noncentrality: float, scale: float):
@@ -199,7 +207,8 @@ def ncx2_sf(x, dof: float, noncentrality: float, scale: float):
 
     Uses the Poisson mixture of central chi-square tails,
         SF(x) = sum_j w_j * Q(dof/2 + j, scale*x/2),  w_j = Pois(j; h),
-    h = noncentrality/2, summed from j = 0 upward.  Each Q term is <= 1, so
+    h = noncentrality/2, summed from j = 0 upward; at zero noncentrality it is
+    gamma_sf with shape dof/2 and rate scale/2.  Each Q term is <= 1, so
     the truncation error is at most the Poisson mass left out.  The sum stops
     at the first of:
       - the float sum of the weights reaches 1 - 1e-16.  The weights come
@@ -219,24 +228,23 @@ def ncx2_sf(x, dof: float, noncentrality: float, scale: float):
 
     if dof <= 0.0 or scale <= 0.0 or noncentrality < 0.0:
         raise ValueError("ncx2_sf requires dof > 0, scale > 0, noncentrality >= 0")
-    arr = np.asarray(x, dtype=float)
     half = 0.5 * noncentrality
+    if half == 0.0:  # also where a subnormal noncentrality halves to 0
+        return gamma_sf(x, 0.5 * dof, 0.5 * scale)
+    arr = np.asarray(x, dtype=float)
     y = 0.5 * scale * np.maximum(arr, 0.0)
-    if half == 0.0:
-        out = _sp.gammaincc(0.5 * dof, y)
-    else:
-        out = np.zeros_like(y)
-        mass = 0.0
-        j = 0
-        while mass < 1.0 - 1e-16:
-            logw = -half + j * math.log(half) - _sp.gammaln(j + 1.0)
-            w = math.exp(logw)
-            if w == 0.0 and j > half:
-                break
-            out += w * _sp.gammaincc(0.5 * dof + j, y)
-            mass += w
-            j += 1
-            if j > 100000:  # hard stop, see the docstring
-                break
+    out = np.zeros_like(y)
+    mass = 0.0
+    j = 0
+    while mass < 1.0 - 1e-16:
+        logw = -half + j * math.log(half) - _sp.gammaln(j + 1.0)
+        w = math.exp(logw)
+        if w == 0.0 and j > half:
+            break
+        out += w * _sp.gammaincc(0.5 * dof + j, y)
+        mass += w
+        j += 1
+        if j > 100000:  # hard stop, see the docstring
+            break
     out = np.where(arr <= 0.0, 1.0, np.clip(out, 0.0, 1.0))
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out

@@ -6,8 +6,6 @@ import pytest
 
 from remcr.channel import (
     calibrate,
-    calibrate_cr_power,
-    calibrate_pu_power,
     gudmundson_correlation,
     received_power,
     sample_shadows,
@@ -103,8 +101,7 @@ class TestCalibration:
     def test_secondary_link_percentile_self_consistency(self, base_cfg):
         # larger calibration sample: the check compounds calibration noise
         # with re-simulation noise
-        a = calibrate_pu_power(base_cfg, n_samples=1_000_000)
-        b = calibrate_cr_power(base_cfg, a, n_samples=1_000_000)
+        b = calibrate(base_cfg, n_samples=1_000_000).cr
         stream = np.random.default_rng(17)
         n = 1_000_000
         pts = sample_annulus_points(stream, n, base_cfg.R0, base_cfg.Rc)
@@ -115,20 +112,20 @@ class TestCalibration:
 
     def test_thin_annulus_deterministic_limit(self):
         cfg = ScenarioConfig(R0=999.0, Rc=999.5, R=1000.0, sigma_dB=1e-9)
-        a = calibrate_pu_power(cfg)
+        a = calibrate(cfg).pu
         expected = 10.0**0.5 * cfg.noise_power * 1000.0**3.5
         assert math.isclose(a, expected, rel_tol=0.01)
 
     def test_scales_with_noise_power(self, base_cfg):
         doubled = dataclasses.replace(base_cfg, noise_power=2.0)
-        a1 = calibrate_pu_power(base_cfg, n_samples=50_000)
-        a2 = calibrate_pu_power(doubled, n_samples=50_000)
+        a1 = calibrate(base_cfg, n_samples=50_000).pu
+        a2 = calibrate(doubled, n_samples=50_000).pu
         assert math.isclose(a2, 2.0 * a1, rel_tol=1e-12)
 
     def test_power_ratio_deterministic_limit(self):
         cfg = ScenarioConfig(sigma_dB=1e-9)
-        a = calibrate_pu_power(cfg)
-        b = calibrate_cr_power(cfg, a)
+        consts = calibrate(cfg)
+        a, b = consts.pu, consts.cr
         # 95th-percentile radii by area of each annulus fix the quantiles
         r95_pu = math.sqrt(0.95 * (cfg.R**2 - cfg.R0**2) + cfg.R0**2)
         r95_cr = math.sqrt(0.95 * (cfg.Rc**2 - cfg.R0**2) + cfg.R0**2)
@@ -136,17 +133,10 @@ class TestCalibration:
         assert math.isclose(b / a, expected, rel_tol=0.005)
         assert math.isclose(b / a, 10.0**-3.5, rel_tol=0.015)
 
-    def test_zero_pu_power_gives_zero(self, base_cfg):
-        assert calibrate_cr_power(base_cfg, 0.0) == 0.0
-
     def test_reproducible(self, base_cfg, consts):
         again = calibrate(base_cfg)
         assert again == consts
 
-    @pytest.mark.parametrize("n_samples", (10_000, 200_000))
-    def test_calibrate_equals_the_two_calls(self, base_cfg, n_samples):
-        cfg = dataclasses.replace(base_cfg, sigma_dB=6.0, noise_power=3.0)
-        pu = calibrate_pu_power(cfg, n_samples)
-        cr = calibrate_cr_power(cfg, pu, n_samples)
-        got = calibrate(cfg, n_samples)
-        assert (got.pu, got.cr) == (pu, cr)
+    def test_too_few_samples_rejected(self, base_cfg):
+        with pytest.raises(ValueError, match="at least 1e4 samples"):
+            calibrate(base_cfg, n_samples=9_999)

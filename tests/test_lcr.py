@@ -8,7 +8,7 @@ from remcr.fadingsim import count_crossings, generate_fading, merge_counted
 from remcr.lcr import (
     FitFailureError,
     GammaFit,
-    ZeroNoncentralityError,
+    NcChiSqFit,
     acf_curvature_at_zero,
     aggregate_acf,
     default_threshold_grid,
@@ -21,7 +21,7 @@ from remcr.lcr import (
     rician_component_moments,
     rician_curve,
 )
-from remcr.specfun import ncx2_pdf
+from remcr.specfun import gamma_pdf, gamma_sf, ncx2_pdf
 
 
 class TestFitGamma:
@@ -220,12 +220,85 @@ class TestLcrRician:
         rel = np.abs(mc.rates[mask] - analytic[mask]) / analytic[mask]
         assert np.max(rel) < 0.10
 
-    def test_zero_noncentrality_rejected(self):
-        from remcr.lcr import NcChiSqFit
+    @pytest.mark.parametrize("dof", [0.5, 1.0, 3.0])
+    def test_zero_threshold_is_the_limit(self, dof):
+        # the rate goes as T**((dof - 1)/2) near 0; at dof = 1 it tends to
+        # exp(-lam/2) * sqrt(scale * slope / (2 pi)) with slope 4 pi f_D**2 / scale
+        fit = NcChiSqFit(dof=dof, noncentrality=2.0, scale=3.0)
+        at_zero, near = lcr_rician(fit, 25.0, np.array([0.0, 1e-12]))
+        if dof == 1.0:
+            assert math.isclose(at_zero, math.exp(-1.0) * math.sqrt(2.0 * 625.0), rel_tol=1e-14)
+            assert math.isclose(at_zero, 13.0065, rel_tol=1e-5)
+            assert math.isclose(near, at_zero, rel_tol=1e-5)
+        elif dof < 1.0:
+            assert at_zero == math.inf and near > 1e3
+        else:
+            assert at_zero == 0.0 and near < 1e-9
 
-        fit = NcChiSqFit(dof=2.0, noncentrality=0.0, scale=2.0)
-        with pytest.raises(ZeroNoncentralityError):
-            lcr_rician(fit, 25.0, 1.0)
+
+def _gamma_closed_form_lcr(fit, acf_curv, t):
+    # the gamma-process rate as its own closed form,
+    # (1 / (2 Gamma(shape))) sqrt(2 |c| / pi) (rate T)**(shape - 1/2) exp(-rate T)
+    x = fit.rate * t
+    return np.exp(
+        -math.log(2.0)
+        - special.gammaln(fit.shape)
+        + 0.5 * math.log(2.0 * abs(acf_curv) / math.pi)
+        + (fit.shape - 0.5) * np.log(x)
+        - x
+    )
+
+
+class TestSingleRoute:
+    def test_rayleigh_curve_equals_gamma_closed_form(self):
+        stream = np.random.default_rng(40)
+        for _ in range(50):
+            w = stream.uniform(0.01, 0.5, size=int(stream.integers(1, 40)))
+            curve = rayleigh_curve(w, 25.0)
+            fit = fit_gamma(w)
+            lcr = _gamma_closed_form_lcr(fit, acf_curvature_at_zero(w, 25.0), curve.thresholds)
+            aed = gamma_sf(curve.thresholds, fit.shape, fit.rate) / lcr
+            np.testing.assert_allclose(curve.lcr, lcr, rtol=1e-12, atol=1e-280)
+            big = lcr > 1e-280
+            np.testing.assert_allclose(curve.aed[big], aed[big], rtol=1e-12)
+
+    def test_central_rician_equals_rayleigh(self):
+        fit = fit_gamma([0.3, 0.05, 0.9, 0.2])
+        central = NcChiSqFit(dof=2.0 * fit.shape, noncentrality=0.0, scale=2.0 * fit.rate)
+        t = np.concatenate(([0.0], np.geomspace(1e-3, 20.0, 80)))
+        f_d = 25.0
+        got = lcr_rician(central, f_d, t)
+        expected = lcr_rayleigh(fit, -4.0 * math.pi**2 * f_d**2, t)
+        np.testing.assert_allclose(got, expected, rtol=1e-13)
+
+    def test_rician_curve_at_zero_k_is_rayleigh(self):
+        profile = [0.2, 0.2, 0.18, 0.01]
+        curve = rician_curve(profile, 0.0, 25.0)
+        again = rayleigh_curve(profile, 25.0)
+        assert np.array_equal(curve.lcr, again.lcr)
+        assert np.array_equal(curve.aed, again.aed, equal_nan=True)
+
+    # at shape 1/2, sqrt(2 |c| / pi) / (2 sqrt(pi)) with |c| = 4 pi**2 f_D**2
+    @pytest.mark.parametrize("shape,limit", [(0.3, math.inf), (0.5, 25.0 * math.sqrt(2.0)), (2.0, 0.0)])
+    def test_rayleigh_zero_threshold_is_the_limit(self, shape, limit):
+        curv = acf_curvature_at_zero([1.0], 25.0)
+        assert math.isclose(lcr_rayleigh(GammaFit(shape=shape, rate=1.0), curv, 0.0), limit, rel_tol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda t: lcr_rayleigh(GammaFit(2.0, 1.0), -1.0, t),
+        lambda t: lcr_rician(NcChiSqFit(3.0, 2.0, 3.0), 25.0, t),
+        lambda t: gamma_pdf(t, 3.0, 1.0),
+        lambda t: ncx2_pdf(t, 3.0, 2.0, 3.0),
+    ],
+    ids=["lcr_rayleigh", "lcr_rician", "gamma_pdf", "ncx2_pdf"],
+)
+@pytest.mark.parametrize("t", [math.nan, np.array([1.0, math.nan]), -1.0])
+def test_nan_or_negative_threshold_rejected(evaluate, t):
+    with pytest.raises(ValueError):
+        evaluate(t)
 
 
 class TestExceedanceDuration:

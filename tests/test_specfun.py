@@ -12,10 +12,12 @@ from scipy import special
 
 from remcr.specfun import (
     bessel_j0,
+    gamma_logpdf,
     gamma_pdf,
     gamma_sf,
     ln_gamma,
     log_bessel_i,
+    ncx2_logpdf,
     ncx2_pdf,
     ncx2_sf,
 )
@@ -136,6 +138,34 @@ class TestDensities:
         near_central = ncx2_pdf(x, 5.0, 1e-12, 2.0)
         central = gamma_pdf(x, 2.5, 1.0)
         assert np.allclose(near_central, central, atol=1e-8, rtol=1e-6)
+
+    def test_logpdfs_match_scipy(self):
+        from scipy import stats
+
+        x = np.geomspace(1e-3, 80.0, 60)
+        assert np.allclose(
+            gamma_logpdf(x, 3.7, 0.9), stats.gamma.logpdf(x, a=3.7, scale=1.0 / 0.9), rtol=1e-12
+        )
+        v, lam, alpha = 4.3, 7.1, 1.9
+        ref = stats.ncx2.logpdf(alpha * x, df=v, nc=lam) + math.log(alpha)
+        assert np.allclose(ncx2_logpdf(x, v, lam, alpha), ref, rtol=1e-8)
+
+    def test_central_ncx2_is_the_gamma_law(self):
+        x = np.geomspace(1e-3, 50.0, 40)
+        for dof, scale in ((0.7, 0.3), (2.0, 1.0), (9.4, 2.6)):
+            assert np.array_equal(ncx2_logpdf(x, dof, 0.0, scale), gamma_logpdf(x, dof / 2, scale / 2))
+            assert np.array_equal(ncx2_pdf(x, dof, 0.0, scale), gamma_pdf(x, dof / 2, scale / 2))
+            x_sf = np.concatenate(([-1.0, 0.0], x))
+            assert np.array_equal(ncx2_sf(x_sf, dof, 0.0, scale), gamma_sf(x_sf, dof / 2, scale / 2))
+
+    @pytest.mark.parametrize(
+        "logpdf", [lambda x: gamma_logpdf(x, 2.0, 1.0), lambda x: ncx2_logpdf(x, 3.0, 2.0, 1.5)],
+        ids=["gamma_logpdf", "ncx2_logpdf"],
+    )
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.nan])
+    def test_logpdf_needs_positive_x(self, logpdf, x):
+        with pytest.raises(ValueError, match="requires x > 0"):
+            logpdf(np.array([1.0, x]))
 
     def test_ncx2_normalized(self):
         total, err = integrate.quad(
