@@ -120,6 +120,7 @@ def draw_trials(cfg: ScenarioConfig, consts: PowerConstants, trials) -> TrialBat
         return np.concatenate((licensed[:, None], padded), axis=1)
 
     def true_power(const, shadow, xy):
+        # np.hypot, unlike the map distances: these bits reach the profile weights
         return received_power(const, shadow, np.hypot(xy[:, 0], xy[:, 1]), cfg.gamma_pl)
 
     pu_xy = np.array(pu_xy, dtype=float)

@@ -88,12 +88,25 @@ def fit_gamma(profile) -> GammaFit:
     """Moment-match a gamma law to the aggregate under Rayleigh fading.
 
     Mean sum(w) and variance sum(w**2) give shape = sum(w)**2 / sum(w**2)
-    and rate = sum(w) / sum(w**2).
+    and rate = sum(w) / sum(w**2).  FitFailureError if a sum underflows to
+    zero or overflows.
     """
     w = profile_weights(profile)
-    s1 = float(np.sum(w))
-    s2 = float(np.sum(w * w))
+    s1 = _power_sum(w, 1)
+    s2 = _power_sum(w, 2)
     return GammaFit(shape=s1 * s1 / s2, rate=s1 / s2)
+
+
+def _power_sum(w, k: int) -> float:
+    # sum(w**k), checked to be usable as a moment
+    with np.errstate(under="ignore", over="ignore"):
+        total = float(np.sum(w**k))
+    if not (0.0 < total < math.inf):
+        raise FitFailureError(
+            f"a power sum of the weights is {total:g}, where the moment fit needs it "
+            f"positive and finite, for weights {np.array2string(w, precision=6)}"
+        )
+    return total
 
 
 def rician_component_moments(k_factor: float) -> tuple[float, float, float]:
@@ -119,7 +132,8 @@ def fit_ncx2(profile, k_factor: float) -> NcChiSqFit:
         (m3/8)*scale**2 - m2*scale + m1 = 0.
     A root must satisfy dof > 0 and noncentrality >= 0 to define a process;
     when no root does (which genuinely happens for moderately dominant
-    profiles), FitFailureError is raised.  k_factor = 0 degenerates to the
+    profiles), FitFailureError is raised, as it is when a power sum of the
+    weights underflows to zero or overflows.  k_factor = 0 degenerates to the
     central case: the first two moments fix dof = 2*shape, scale = 2*rate of
     the gamma fit and the third moment is no longer free.
     """
@@ -130,9 +144,9 @@ def fit_ncx2(profile, k_factor: float) -> NcChiSqFit:
         g = fit_gamma(w)
         return NcChiSqFit(dof=2.0 * g.shape, noncentrality=0.0, scale=2.0 * g.rate)
     _, c2, c3 = rician_component_moments(k_factor)
-    m1 = float(np.sum(w))
-    m2 = c2 * float(np.sum(w**2))
-    m3 = c3 * float(np.sum(w**3))
+    m1 = _power_sum(w, 1)
+    m2 = c2 * _power_sum(w, 2)
+    m3 = c3 * _power_sum(w, 3)
     # (m3/8) a^2 - m2 a + m1 = 0
     disc = m2 * m2 - 0.5 * m1 * m3
     if disc < 0.0:

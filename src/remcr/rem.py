@@ -57,18 +57,24 @@ def estimate_links(
     (distances, path gain, clamp mask) does not depend on decorr_m and is
     computed once; each estimate has the bits of a call at its own scalar
     decorr_m.
+
+    Both per-link distances are sqrt(dx**2 + dy**2), within one ulp of
+    np.hypot, which calls the scalar libm hypot per element and is several
+    times slower.  They feed only the estimates; the true link distance of
+    engine.draw_trials keeps np.hypot, because its bits reach the admitted
+    profile weights and so the lcr/aed outputs.
     """
     true_xy = np.asarray(true_xy, dtype=float)
     snapped_xy = np.asarray(snapped_xy, dtype=float)
     disp = true_xy - snapped_xy
-    d_tx = np.hypot(disp[..., 0], disp[..., 1])
+    d_tx = np.sqrt(disp[..., 0] ** 2 + disp[..., 1] ** 2)
     # the receiver's factor, computed once and broadcast over the links
     d_rx = np.full(1, math.hypot(receiver_true[0] - receiver_snapped[0],
                                  receiver_true[1] - receiver_snapped[1]))
     rho = gudmundson_correlation(d_tx, d_rx, decorr_m)
     shadow_est = rho * shadows_true + np.sqrt(1.0 - rho * rho) * fresh
     grid = snapped_xy - np.asarray(receiver_snapped, dtype=float)
-    r_hat = np.hypot(grid[..., 0], grid[..., 1])
+    r_hat = np.sqrt(grid[..., 0] ** 2 + grid[..., 1] ** 2)
     clamped = r_hat == 0.0
     r_hat = np.where(clamped, min_distance_m, r_hat)
     power_est = received_power(power_const, shadow_est, r_hat, pathloss_exp)

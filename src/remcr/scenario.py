@@ -76,6 +76,11 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
+        for name in ("R", "f_D"):  # the placement radius and the Rice slope are squared
+            try:
+                float(getattr(self, name)) ** 2
+            except OverflowError:
+                raise ConfigError(f"{name} = {getattr(self, name)} overflows when squared") from None
         if not (0.0 < self.R0 < self.Rc <= self.R):
             raise ConfigError("need 0 < R0 < Rc <= R")
         if self.sigma_dB <= 0.0:

@@ -122,6 +122,35 @@ class TestExitCodes:
         assert err.startswith(f"config error: {cfg}: K_dB = {float(k_db)}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "lines, argv",
+        [
+            (["R = 1e155", "Rc = 500"], ["cdf", "--trials", "3"]),
+            (["R = 1e155", "Rc = 500"], ["lcr", "--trials", "30"]),
+            (["f_D = 1e155"], ["lcr", "--trials", "30"]),
+            (["f_D = 1e155"], ["aed", "--trials", "30"]),
+        ],
+    )
+    def test_square_overflow_config(self, tmp_path, capsys, lines, argv):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        code, out, err = _capture(argv + ["--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: {cfg}: {lines[0].split()[0]} = 1e+155 overflows when squared")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("study", ["lcr", "aed"])
+    @pytest.mark.parametrize("noise_power", ["1e-300", "1e170"])
+    def test_moment_sum_out_of_range(self, tmp_path, capsys, study, noise_power):
+        cfg = tmp_path / "noise.cfg"
+        cfg.write_text(f"noise_power = {noise_power}\n")
+        code, out, err = _capture([study, "--trials", "30", "--config", str(cfg)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("fit failure: a power sum of the weights is ")
+        assert "Traceback" not in err
+
     def test_validate_failure_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr("remcr.cli.snap_points", lambda points, delta: np.zeros(2))
         code, out, _ = _capture(["validate"], capsys)

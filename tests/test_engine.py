@@ -38,11 +38,11 @@ def _one_trial(cfg, consts, trial_index):
     true = consts.cr * np.exp(shadows) * np.hypot(crs[:, 0], crs[:, 1]) ** (-cfg.gamma_pl)
     snapped = snap_points(crs, cfg.delta_grid)
     rx = snap_points(np.zeros(2), cfg.delta_grid)
-    d_tx = np.hypot(*(crs - snapped).T) if n else np.empty(0)
+    d_tx = np.sqrt(np.sum((crs - snapped) ** 2, axis=1)) if n else np.empty(0)
     rho = gudmundson_correlation(d_tx, np.full(n, math.hypot(*rx)), cfg.D_d)
     fresh = DB_TO_NAT * rem.normal(0.0, cfg.sigma_dB, size=n) if n else np.empty(0)
     shadow_est = rho * shadows + np.sqrt(1.0 - rho * rho) * fresh
-    r_hat = np.hypot(*(snapped - np.asarray(rx)).T) if n else np.empty(0)
+    r_hat = np.sqrt(np.sum((snapped - np.asarray(rx)) ** 2, axis=1)) if n else np.empty(0)
     clamped = r_hat == 0.0
     r_hat = np.where(clamped, cfg.R0, r_hat)
     est = consts.cr * np.exp(shadow_est) * r_hat ** (-cfg.gamma_pl)
@@ -311,7 +311,7 @@ def _tied_block(counts, seed, n_values, n_cells):
         true_powers=true,
     )
     grid = xy[:, 1:] - 0.5  # the receiver's cell center is (0.5, 0.5)
-    est = np.exp(fresh[:, 1:]) * np.hypot(grid[..., 0], grid[..., 1]) ** -cfg.gamma_pl
+    est = np.exp(fresh[:, 1:]) * np.sqrt(grid[..., 0] ** 2 + grid[..., 1] ** 2) ** -cfg.gamma_pl
     return batch, np.where(active, est, math.inf)
 
 

@@ -54,6 +54,11 @@ class TestFitGamma:
         )
         assert ks <= 0.02
 
+    @pytest.mark.parametrize("weight", [1e-300, 1e170, 1e308], ids=["w2-underflows", "w2-overflows", "sum-overflows"])
+    def test_unusable_moment_sum_fails(self, weight):
+        with pytest.raises(FitFailureError, match="power sum of the weights is (0|inf)"):
+            fit_gamma([weight] * 3)
+
 
 class TestComponentMoments:
     def test_rayleigh_degenerate(self):
@@ -116,6 +121,14 @@ class TestFitNcx2:
             assert math.isclose(m1_back, m1, rel_tol=1e-9)
             assert math.isclose(m2_back, m2, rel_tol=1e-9)
             assert math.isclose(m3_back, m3, rel_tol=1e-9)
+
+    @pytest.mark.parametrize(
+        "weight", [1e-300, 1e-150, 1e110, 1e308],
+        ids=["w2-underflows", "w3-underflows", "w3-overflows", "sum-overflows"],
+    )
+    def test_unusable_moment_sum_fails(self, weight):
+        with pytest.raises(FitFailureError, match="power sum of the weights is (0|inf)"):
+            fit_ncx2([weight] * 3, 10.0)
 
     def test_dominant_profile_fails_with_weights_echoed(self):
         with pytest.raises(FitFailureError, match="0.25"):

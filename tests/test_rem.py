@@ -1,8 +1,11 @@
 import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from remcr.channel import sample_shadows
+from remcr.channel import gudmundson_correlation, sample_shadows
+from remcr.geometry import snap_points
 from remcr.rem import estimate_links
 
 SIGMA_X = math.log(10.0) / 10.0 * 8.0
@@ -118,3 +121,37 @@ class TestEstimateLink:
                     true_xy[i, j:j + 1], snapped_xy[i, j:j + 1], rx_true, rx_snap, 100.0, 10.0,
                 )
                 assert math.isclose(one[0][0], est[i, j], rel_tol=1e-15)
+
+
+class TestMapDistances:
+    """The map distances are square roots of squared offsets: bit for bit
+    sqrt(dx**2 + dy**2), and within one ulp of np.hypot."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        delta=st.one_of(st.just(0.0), st.floats(0.5, 400.0)),
+        radius=st.floats(10.0, 5000.0),
+        rx=st.tuples(st.floats(-200.0, 200.0), st.floats(-200.0, 200.0)),
+        decorr_m=st.floats(1.0, 1000.0),
+    )
+    def test_square_root_distances(self, seed, n, delta, radius, rx, decorr_m):
+        rng = np.random.default_rng(seed)
+        true_xy = rng.uniform(-radius, radius, size=(n, 2))
+        snapped_xy = snap_points(true_xy, delta)
+        rx_snap = snap_points(np.array(rx), delta)
+        _, rho, r_hat, clamped = estimate_links(
+            np.zeros(n), 1.0, 3.5, np.zeros(n), true_xy, snapped_xy,
+            rx, rx_snap, decorr_m, 10.0,
+        )
+        gx, gy = (snapped_xy - rx_snap).T
+        expected = np.sqrt(gx**2 + gy**2)
+        assert np.array_equal(clamped, expected == 0.0)
+        assert np.array_equal(r_hat[~clamped], expected[~clamped])
+        assert np.all(r_hat[clamped] == 10.0)
+        hypot = np.hypot(gx, gy)
+        assert np.all(np.abs(expected - hypot) <= np.spacing(hypot))
+        dx, dy = (true_xy - snapped_xy).T
+        d_rx = np.full(n, math.hypot(rx[0] - rx_snap[0], rx[1] - rx_snap[1]))
+        assert np.array_equal(rho, gudmundson_correlation(np.sqrt(dx**2 + dy**2), d_rx, decorr_m))

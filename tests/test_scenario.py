@@ -109,6 +109,12 @@ class TestScenarioValidation:
         largest = {"buffer_dB": 3000.0, "K_dB": 1027.0}[name]
         assert getattr(ScenarioConfig(**{name: largest}), name) == largest
 
+    @pytest.mark.parametrize("name", ("R", "f_D"))
+    def test_square_overflow_rejected(self, name):
+        with pytest.raises(ConfigError, match=rf"{name} = 1e\+155 overflows when squared"):
+            ScenarioConfig(**{name: 1e155, "Rc": 500.0})
+        assert getattr(ScenarioConfig(**{name: 1e154, "Rc": 500.0}), name) == 1e154
+
     @pytest.mark.parametrize(
         "k_db, problem", [(-3300.0, "underflows"), (1100.0, "overflows"), (3000.0, "overflows")]
     )
