@@ -16,16 +16,33 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "InterferenceProfile",
+    "FitFailureError",
+    "TooFewProfilesError",
     "profile_weights",
+    "power_sum",
     "degradation_db",
     "select_extreme_profiles",
 ]
+
+
+class FitFailureError(ValueError):
+    """The moment fit of a weight profile has no admissible solution, or a
+    power sum of its weights is out of the float range the fit needs."""
+
+
+class TooFewProfilesError(ValueError):
+    """Fewer than two profiles admit a transmitter; non_empty counts those
+    that do."""
+
+    def __init__(self, non_empty: int):
+        super().__init__("need at least two non-empty profiles")
+        self.non_empty = non_empty
 
 
 @dataclass(frozen=True)
@@ -67,6 +84,20 @@ def profile_weights(profile) -> np.ndarray:
     return w
 
 
+def power_sum(w: np.ndarray, k: int) -> float:
+    """sum(w**k), checked to be usable as a moment: FitFailureError, with no
+    floating-point warning, when it underflows to zero or overflows."""
+    with np.errstate(under="ignore", over="ignore"):
+        total = float(np.sum(w**k))
+    if not (0.0 < total < math.inf):
+        raise FitFailureError(
+            f"a power sum of the weights is {total:g}, where the moment fit needs it "
+            f"positive and finite; the weights range from {np.min(w):g} to {np.max(w):g}: "
+            f"{np.array2string(w, precision=6)}"
+        )
+    return total
+
+
 def degradation_db(profile: InterferenceProfile, noise_power: float) -> float:
     """Realized SNR degradation of the protected receiver in dB:
     10*log10((true interference sum + noise) / noise)."""
@@ -77,7 +108,7 @@ def degradation_db(profile: InterferenceProfile, noise_power: float) -> float:
 
 
 def select_extreme_profiles(
-    profiles: Sequence[InterferenceProfile],
+    profiles: Iterable[InterferenceProfile],
 ) -> tuple[InterferenceProfile, InterferenceProfile]:
     """Pick the fluctuation extremes from a batch of admitted profiles.
 
@@ -85,10 +116,24 @@ def select_extreme_profiles(
     the sum of squared weights, so the profile maximizing that sum has the
     most dominant single contribution and the one minimizing it is the most
     uniform.  Returns (dominant, no_dominant); ties keep first occurrence.
-    Raises ValueError when fewer than two non-empty profiles are supplied.
+
+    profiles may be any iterable, a one-shot generator included: it is read
+    once, in order, and only the two running extremes are kept.  Raises
+    FitFailureError as soon as a sum of squares underflows to zero or
+    overflows, and TooFewProfilesError when fewer than two profiles are
+    non-empty.
     """
-    non_empty = [p for p in profiles if len(p) > 0]
-    if len(non_empty) < 2:
-        raise ValueError("need at least two non-empty profiles")
-    sq = [float(np.sum(p.weights**2)) for p in non_empty]
-    return non_empty[int(np.argmax(sq))], non_empty[int(np.argmin(sq))]
+    non_empty = 0
+    hi, lo = -math.inf, math.inf
+    for p in profiles:
+        if len(p) == 0:
+            continue
+        non_empty += 1
+        sq = power_sum(p.weights, 2)  # finite, so the first profile sets both
+        if sq > hi:
+            dominant, hi = p, sq
+        if sq < lo:
+            no_dominant, lo = p, sq
+    if non_empty < 2:
+        raise TooFewProfilesError(non_empty)
+    return dominant, no_dominant

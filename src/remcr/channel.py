@@ -30,6 +30,7 @@ SNR_TARGET_QUANTILE = 0.05
 
 _CAL_PU_TAG = "calibrate-pu"
 _CAL_CR_TAG = "calibrate-cr"
+_CHUNK = 2**14  # shadowing values drawn at a time; bounds calibration's scratch
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,9 @@ def sample_shadows(stream: np.random.Generator, n: int, sigma_db: float) -> np.n
     sigma_db; draws are independent across links."""
     if sigma_db <= 0.0:
         raise ValueError("sigma_db must be positive")
-    return DB_TO_NAT * stream.normal(0.0, sigma_db, size=n)
+    out = stream.normal(0.0, sigma_db, size=n)
+    out *= DB_TO_NAT
+    return out
 
 
 def gudmundson_correlation(d_tx_m, d_rx_m, decorr_m):
@@ -87,15 +90,25 @@ def _link_quantile(
     """5th percentile of exp(X) * r**(-gamma_pl) over shadowing and a link
     distance drawn like the annulus placements (r**2 uniform).
 
+    The working set is one n_samples array: it takes the r**2 draws, then
+    their square roots in place, then the gains, _CHUNK at a time.  The
+    shadowing is drawn in those chunks after all the radii; Generator.normal
+    fills its output in stream order, so the chunks hold the values of one
+    n_samples draw and the gains are those of the one-shot computation, bit
+    for bit.
+
     A ConfigError if that percentile is not finite and positive: the
     transmit power that meets the SNR target would then be infinite or
     undefined (sigma_dB = 1e5 underflows the percentile to 0)."""
     stream = derive_stream(cfg.master_seed, 0, tag)
-    rr = stream.uniform(r_inner * r_inner, r_outer * r_outer, size=n_samples)
-    shadows = sample_shadows(stream, n_samples, cfg.sigma_dB)
-    with np.errstate(over="ignore"):  # gains far above the percentile may be inf
-        gains = received_power(1.0, shadows, np.sqrt(rr), cfg.gamma_pl)
-    q = float(np.quantile(gains, SNR_TARGET_QUANTILE))
+    gains = stream.uniform(r_inner * r_inner, r_outer * r_outer, size=n_samples)
+    np.sqrt(gains, out=gains)
+    for lo in range(0, n_samples, _CHUNK):
+        part = gains[lo : lo + _CHUNK]
+        shadows = sample_shadows(stream, len(part), cfg.sigma_dB)
+        with np.errstate(over="ignore"):  # gains far above the percentile may be inf
+            part[:] = received_power(1.0, shadows, part, cfg.gamma_pl)
+    q = _percentile(gains, SNR_TARGET_QUANTILE)
     if not (math.isfinite(q) and q > 0.0):
         link = "licensed" if tag == _CAL_PU_TAG else "secondary"
         raise ConfigError(
@@ -103,6 +116,26 @@ def _link_quantile(
             f"(sigma_dB = {cfg.sigma_dB:g}, gamma_pl = {cfg.gamma_pl:g})"
         )
     return q
+
+
+def _percentile(values: np.ndarray, q: float) -> float:
+    """np.quantile(values, q) bit for bit (numpy's default, the type-7
+    linear interpolation), found by partitioning values in place instead of
+    a copy; len(values) >= 2 and 0 <= q < 1.
+
+    With pos = (n - 1) * q, lo = floor(pos) and t = pos - lo, the order
+    statistics a = values[lo] and b = values[lo + 1] give
+    b - (b - a) * (1 - t) if t >= 0.5, else a + (b - a) * t, as numpy's own
+    interpolation does.  NaN sorts last, and any NaN gives NaN."""
+    n = len(values)
+    pos = (n - 1) * q
+    lo = math.floor(pos)
+    t = pos - lo
+    values.partition([lo, lo + 1, n - 1])
+    if math.isnan(values[-1]):
+        return math.nan
+    a, b = float(values[lo]), float(values[lo + 1])
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def calibrate(cfg: ScenarioConfig, n_samples: int = 200_000) -> PowerConstants:
@@ -119,10 +152,21 @@ def calibrate(cfg: ScenarioConfig, n_samples: int = 200_000) -> PowerConstants:
         cr = pu * quantile(licensed link) / quantile(secondary link),
     which makes the secondary 5th-percentile SNR exactly the 5 dB target;
     with shadowing switched off the ratio cr/pu approaches (Rc/R)**gamma_pl.
+
+    Each quantile is numpy's type-7 percentile of one link's gains, held in
+    one n_samples array and drawn in chunks that keep the stream order of
+    one draw (see _link_quantile).  A ConfigError if either constant is not
+    finite and positive (noise_power = 1e300 overflows both).
     """
     if n_samples < 10_000:
         raise ValueError("calibration needs at least 1e4 samples")
     q_pu = _link_quantile(cfg, cfg.R0, cfg.R, n_samples, _CAL_PU_TAG)
     pu = SNR_TARGET_LINEAR * cfg.noise_power / q_pu
     q_cr = _link_quantile(cfg, cfg.R0, cfg.Rc, n_samples, _CAL_CR_TAG)
-    return PowerConstants(pu=pu, cr=pu * q_pu / q_cr)
+    cr = pu * q_pu / q_cr
+    if not (0.0 < pu < math.inf and 0.0 < cr < math.inf):
+        raise ConfigError(
+            f"cannot calibrate the transmit powers: pu = {pu:g} and cr = {cr:g} must be "
+            f"finite and positive (noise_power = {cfg.noise_power:g})"
+        )
+    return PowerConstants(pu=pu, cr=cr)

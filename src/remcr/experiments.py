@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from remcr import lcr as lcrmod
-from remcr.allocation import select_extreme_profiles
+from remcr.allocation import TooFewProfilesError, select_extreme_profiles
 from remcr.channel import PowerConstants, calibrate
 from remcr.engine import evaluate, sweep, trial_batches
 from remcr.fadingsim import EmpiricalCurve, count_crossings, merge_counted, generate_fading
@@ -226,17 +226,19 @@ def _lcr_aed_tables(
     if consts is None:
         consts = calibrate(cfg)
     budget = interference_threshold(cfg.buffer_dB, cfg.noise_power)
-    profiles = [
+    # a generator: the selection keeps only its two extremes, so the profile
+    # stage holds one block's profiles at a time
+    profiles = (
         prof
         for batch in trial_batches(cfg, consts, n_profile_trials)
         for prof in evaluate(batch, cfg.delta_grid, cfg.D_d).profiles(budget)
-    ]
+    )
     try:
         dominant, no_dominant = select_extreme_profiles(profiles)
-    except ValueError as exc:
+    except TooFewProfilesError as exc:
         raise ConfigError(
             f"{exc}: the {n_profile_trials} profile trials admit a transmitter in "
-            f"{sum(len(p) > 0 for p in profiles)}; raise cr_density, activity_p or the trial count"
+            f"{exc.non_empty}; raise cr_density, activity_p or the trial count"
         ) from None
     k_db = cfg.K_dB if cfg.K_dB is not None else RICIAN_K_DB_DEFAULT
     k_factor = 10.0 ** (k_db / 10.0)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from remcr import specfun
-from remcr.allocation import profile_weights
+from remcr.allocation import FitFailureError, power_sum, profile_weights
 
 __all__ = [
     "GammaFit",
@@ -41,11 +41,6 @@ __all__ = [
     "rayleigh_curve",
     "rician_curve",
 ]
-
-
-class FitFailureError(ValueError):
-    """The three-moment noncentral chi-square fit has no admissible solution
-    for this weight profile."""
 
 
 @dataclass(frozen=True)
@@ -92,21 +87,9 @@ def fit_gamma(profile) -> GammaFit:
     zero or overflows.
     """
     w = profile_weights(profile)
-    s1 = _power_sum(w, 1)
-    s2 = _power_sum(w, 2)
+    s1 = power_sum(w, 1)
+    s2 = power_sum(w, 2)
     return GammaFit(shape=s1 * s1 / s2, rate=s1 / s2)
-
-
-def _power_sum(w, k: int) -> float:
-    # sum(w**k), checked to be usable as a moment
-    with np.errstate(under="ignore", over="ignore"):
-        total = float(np.sum(w**k))
-    if not (0.0 < total < math.inf):
-        raise FitFailureError(
-            f"a power sum of the weights is {total:g}, where the moment fit needs it "
-            f"positive and finite, for weights {np.array2string(w, precision=6)}"
-        )
-    return total
 
 
 def rician_component_moments(k_factor: float) -> tuple[float, float, float]:
@@ -144,9 +127,9 @@ def fit_ncx2(profile, k_factor: float) -> NcChiSqFit:
         g = fit_gamma(w)
         return NcChiSqFit(dof=2.0 * g.shape, noncentrality=0.0, scale=2.0 * g.rate)
     _, c2, c3 = rician_component_moments(k_factor)
-    m1 = _power_sum(w, 1)
-    m2 = c2 * _power_sum(w, 2)
-    m3 = c3 * _power_sum(w, 3)
+    m1 = power_sum(w, 1)
+    m2 = c2 * power_sum(w, 2)
+    m3 = c3 * power_sum(w, 3)
     # (m3/8) a^2 - m2 a + m1 = 0
     disc = m2 * m2 - 0.5 * m1 * m3
     if disc < 0.0:

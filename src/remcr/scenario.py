@@ -81,6 +81,8 @@ class ScenarioConfig:
                 float(getattr(self, name)) ** 2
             except OverflowError:
                 raise ConfigError(f"{name} = {getattr(self, name)} overflows when squared") from None
+        if not math.isfinite(4.0 * math.pi * self.f_D**2):
+            raise ConfigError(f"f_D = {self.f_D} overflows the Rice slope 4*pi*f_D**2")
         if not (0.0 < self.R0 < self.Rc <= self.R):
             raise ConfigError("need 0 < R0 < Rc <= R")
         if self.sigma_dB <= 0.0:

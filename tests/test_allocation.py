@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from remcr.allocation import (
+    FitFailureError,
     InterferenceProfile,
+    TooFewProfilesError,
     degradation_db,
     select_extreme_profiles,
 )
@@ -125,6 +128,40 @@ class TestExtremeProfiles:
     def test_too_few_raises(self):
         with pytest.raises(ValueError):
             select_extreme_profiles([self._prof(1.0)])
+
+    def test_too_few_reports_non_empty_count(self):
+        empty = InterferenceProfile(weights=np.empty(0), est_weights=np.empty(0))
+        with pytest.raises(TooFewProfilesError) as info:
+            select_extreme_profiles(iter([empty, self._prof(1.0), empty]))
+        assert info.value.non_empty == 1
+
+    def test_generator_gives_the_list_pair(self, base_cfg, consts):
+        tie = self._prof(2.0, 1.0)
+        profiles = (
+            [self._prof(1.0, 1.0), tie, self._prof(1.0, 2.0), self._prof(0.5)]
+            + [trial_profile(base_cfg, consts, i) for i in range(50)]
+            + [self._prof(3.0, 0.5), self._prof(0.5, 3.0)]
+        )
+        from_list = select_extreme_profiles(profiles)
+        from_generator = select_extreme_profiles(p for p in profiles)
+        assert all(a is b for a, b in zip(from_list, from_generator))
+        sq = [float(np.sum(p.weights**2)) if len(p) else math.nan for p in profiles]
+        non_empty = [i for i, p in enumerate(profiles) if len(p)]
+        # ties keep the first occurrence, as argmax/argmin do
+        first_max = non_empty[int(np.argmax([sq[i] for i in non_empty]))]
+        first_min = non_empty[int(np.argmin([sq[i] for i in non_empty]))]
+        assert from_list == (profiles[first_max], profiles[first_min])
+        tied = select_extreme_profiles(iter([tie, self._prof(1.0, 2.0), self._prof(0.5)]))
+        assert tied[0] is tie
+
+    @pytest.mark.parametrize("scale, total", [(1e170, "inf"), (1e-170, "0")])
+    def test_out_of_range_squares_stop_without_warning(self, scale, total):
+        profiles = iter([self._prof(scale, 2.0 * scale), self._prof(scale)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitFailureError, match=f"is {total}, .* range from 1e[+-]170 to 2e[+-]170"):
+                select_extreme_profiles(profiles)
+        assert next(profiles).weights[0] == scale  # stopped at the first profile
 
     def test_dominant_has_larger_max_share(self, base_cfg, consts):
         profiles = [trial_profile(base_cfg, consts, i) for i in range(300)]

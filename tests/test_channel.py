@@ -1,17 +1,19 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from remcr.channel import (
+    _percentile,
     calibrate,
     gudmundson_correlation,
     received_power,
     sample_shadows,
 )
 from remcr.geometry import sample_annulus_points
-from remcr.scenario import ConfigError, ScenarioConfig
+from remcr.scenario import DB_TO_NAT, ConfigError, ScenarioConfig, derive_stream
 
 LN10_OVER_10 = math.log(10.0) / 10.0
 
@@ -56,6 +58,11 @@ class TestShadowing:
         expected = LN10_OVER_10 * 8.0  # 1.8421
         assert math.isclose(expected, 1.8421, rel_tol=1e-4)
         assert abs(np.std(x) - expected) < 0.01 * expected
+
+    def test_same_values_as_scaled_normal_draw(self):
+        x = sample_shadows(np.random.default_rng(15), 1000, 8.0)
+        want = DB_TO_NAT * np.random.default_rng(15).normal(0.0, 8.0, size=1000)
+        assert np.array_equal(x, want)
 
     def test_lognormal_mean(self):
         stream = np.random.default_rng(14)
@@ -137,6 +144,85 @@ class TestCalibration:
         again = calibrate(base_cfg)
         assert again == consts
 
+    def test_infinite_constants_are_a_config_error(self):
+        # the 5th-percentile gains are fine, but pu = 3.16 * 1e300 / q overflows
+        with pytest.raises(ConfigError, match=r"pu = inf and cr = inf must be finite"):
+            calibrate(ScenarioConfig(noise_power=1e300))
+        assert math.isfinite(calibrate(ScenarioConfig(noise_power=1e250)).pu)
+
     def test_too_few_samples_rejected(self, base_cfg):
         with pytest.raises(ValueError, match="at least 1e4 samples"):
             calibrate(base_cfg, n_samples=9_999)
+
+
+def _one_shot_calibrate(cfg, n):
+    """The calibration formula with every draw and gain in one array each,
+    and np.quantile for the percentile."""
+
+    def quantile(r_inner, r_outer, tag):
+        stream = derive_stream(cfg.master_seed, 0, tag)
+        rr = stream.uniform(r_inner * r_inner, r_outer * r_outer, size=n)
+        shadows = DB_TO_NAT * stream.normal(0.0, cfg.sigma_dB, size=n)
+        with np.errstate(over="ignore"):
+            gains = 1.0 * np.exp(shadows) * np.sqrt(rr) ** (-cfg.gamma_pl)
+        return float(np.quantile(gains, 0.05))
+
+    q_pu = quantile(cfg.R0, cfg.R, "calibrate-pu")
+    pu = 10.0**0.5 * cfg.noise_power / q_pu
+    return pu, pu * q_pu / quantile(cfg.R0, cfg.Rc, "calibrate-cr")
+
+
+_CAL_CONFIGS = [
+    ScenarioConfig(),
+    ScenarioConfig(sigma_dB=4.0, gamma_pl=2.5, master_seed=2),
+    ScenarioConfig(sigma_dB=12.0, gamma_pl=4.0, master_seed=3),
+    ScenarioConfig(R=500.0, Rc=200.0, master_seed=4),
+    ScenarioConfig(R0=5.0, Rc=50.0, sigma_dB=6.0, master_seed=5),
+    ScenarioConfig(R=2000.0, Rc=1000.0, gamma_pl=3.0, master_seed=6),
+    ScenarioConfig(sigma_dB=1e-9, master_seed=7),
+    ScenarioConfig(sigma_dB=60.0, gamma_pl=2.0, master_seed=8),
+    ScenarioConfig(R0=99.0, Rc=100.0, R=101.0, master_seed=9),
+    ScenarioConfig(noise_power=1e-20, master_seed=123456789012),
+]
+
+
+class TestCalibrationMatchesOneShot:
+    @pytest.mark.parametrize("n", [10_000, 50_000, 200_001, 1_000_000])
+    @pytest.mark.parametrize("cfg", _CAL_CONFIGS, ids=range(len(_CAL_CONFIGS)))
+    def test_constants_bit_identical(self, cfg, n):
+        # 50 000 and 200 001 are not multiples of the shadowing chunk
+        got = calibrate(cfg, n_samples=n)
+        pu, cr = _one_shot_calibrate(cfg, n)
+        assert (got.pu.hex(), got.cr.hex()) == (pu.hex(), cr.hex())
+
+    def test_traced_peak_is_one_sample_array(self, base_cfg):
+        calibrate(base_cfg)  # warm: first-use allocations are not scratch
+        tracemalloc.start()
+        try:
+            calibrate(base_cfg, n_samples=200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the gains take 1.6 MB; the one-shot formula holds about 7.6 MB
+        assert peak < 3e6
+
+
+class TestPercentile:
+    @pytest.mark.parametrize("n", [2, 3, 7, 20, 101, 1000, 10_000, 16_385, 123_457])
+    def test_matches_np_quantile(self, n):
+        rng = np.random.default_rng(n)
+        draws = [
+            rng.lognormal(0.0, 3.0, n),
+            rng.integers(0, 5, n).astype(float),  # many ties
+            np.where(rng.random(n) < 0.3, math.inf, rng.random(n)),
+        ]
+        for x in draws:
+            for q in (0.0, 0.05, 0.25, 0.5, 0.62, 0.95, 0.999, float(rng.random())):
+                with np.errstate(invalid="ignore"):  # inf - inf in numpy's lerp
+                    want = float(np.quantile(x, q))
+                assert _percentile(x.copy(), q).hex() == want.hex()
+
+    def test_nan_gives_nan(self):
+        x = np.array([1.0, math.nan, 2.0, 3.0])
+        assert math.isnan(_percentile(x, 0.05))
+        assert math.isnan(float(np.quantile(np.array([1.0, math.nan, 2.0, 3.0]), 0.05)))

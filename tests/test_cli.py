@@ -1,7 +1,10 @@
+import csv
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -145,11 +148,44 @@ class TestExitCodes:
     def test_moment_sum_out_of_range(self, tmp_path, capsys, study, noise_power):
         cfg = tmp_path / "noise.cfg"
         cfg.write_text(f"noise_power = {noise_power}\n")
-        code, out, err = _capture([study, "--trials", "30", "--config", str(cfg)], capsys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the squares under- or overflow silently
+            code, out, err = _capture([study, "--trials", "30", "--config", str(cfg)], capsys)
         assert code == 3
         assert out == ""
         assert err.startswith("fit failure: a power sum of the weights is ")
+        assert "; the weights range from " in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["cdf", "--trials", "30"], ["validate"]])
+    def test_calibration_overflow(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "loud.cfg"
+        cfg.write_text("noise_power = 1e300\n")
+        code, out, err = _capture(argv + ["--config", str(cfg)], capsys)
+        assert code == 2
+        assert argv == ["validate"] or out == ""  # validate reports its checks as it goes
+        assert err.startswith("config error: cannot calibrate the transmit powers: pu = inf")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("study", ["lcr", "aed"])
+    def test_rice_slope_overflow_config(self, tmp_path, capsys, study):
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text("f_D = 1e154\n")
+        code, out, err = _capture([study, "--trials", "30", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: {cfg}: f_D = 1e+154 overflows the Rice slope")
+
+    def test_largest_doppler_has_analytic_rates(self, tmp_path, capsys):
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text("f_D = 1e150\n")
+        code, out, _ = _capture(["lcr", "--trials", "30", "--config", str(cfg)], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 4 * 231
+        analytic = np.array([float(r["lcr_analytic_norm"]) for r in rows])
+        assert np.all(np.isfinite(analytic) & (analytic >= 0.0))
+        assert np.any(analytic > 0.0)
 
     def test_validate_failure_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr("remcr.cli.snap_points", lambda points, delta: np.zeros(2))

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,19 @@ class TestStudyLcrAed:
         cfg = dataclasses.replace(base_cfg, K_dB=13.0)
         tab = exp.study_lcr(cfg, n_profile_trials=40, mc_runs=2, consts=consts)
         assert tab.summary["k_db_rician"] == 13.0
+
+    def test_profile_stage_memory_does_not_grow_with_trials(self, base_cfg, consts):
+        exp.study_lcr(base_cfg, n_profile_trials=20, mc_runs=1, consts=consts)  # warm
+        peaks = []
+        for n in (1000, 3000):
+            tracemalloc.start()
+            try:
+                exp.study_lcr(base_cfg, n_profile_trials=n, mc_runs=1, consts=consts)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # kept as a list, the 2 000 extra profiles would add about 4 MB
+        assert peaks[1] < peaks[0] + 256 * 1024
 
     def test_deterministic(self, base_cfg, consts):
         a = exp.study_lcr(base_cfg, n_profile_trials=40, mc_runs=2, consts=consts)

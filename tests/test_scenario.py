@@ -113,7 +113,15 @@ class TestScenarioValidation:
     def test_square_overflow_rejected(self, name):
         with pytest.raises(ConfigError, match=rf"{name} = 1e\+155 overflows when squared"):
             ScenarioConfig(**{name: 1e155, "Rc": 500.0})
-        assert getattr(ScenarioConfig(**{name: 1e154, "Rc": 500.0}), name) == 1e154
+        # f_D's square fits at 1e154, but its Rice slope does not (next test)
+        largest = {"R": 1e154, "f_D": 1e153}[name]
+        assert getattr(ScenarioConfig(**{name: largest, "Rc": 500.0}), name) == largest
+
+    def test_rice_slope_overflow_rejected(self):
+        # 4*pi*f_D**2 is inf although f_D**2 = 1e308 is finite
+        with pytest.raises(ConfigError, match=r"f_D = 1e\+154 overflows the Rice slope"):
+            ScenarioConfig(f_D=1e154)
+        assert ScenarioConfig(f_D=1e150).f_D == 1e150
 
     @pytest.mark.parametrize(
         "k_db, problem", [(-3300.0, "underflows"), (1100.0, "overflows"), (3000.0, "overflows")]
