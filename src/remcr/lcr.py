@@ -21,8 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from remcr import specfun
 from remcr.allocation import FitFailureError, power_sum, profile_weights
+
+# remcr.specfun is imported by the functions that use it, on their first
+# call: the map-precision studies import this module but never evaluate a
+# curve, and compiling specfun with them costs them about 0.3 MB of peak RSS
+# where no bytecode is cached.
 
 __all__ = [
     "GammaFit",
@@ -159,6 +163,8 @@ def aggregate_acf(profile, doppler_hz: float, tau):
     Each path contributes the squared zeroth-order Bessel function of
     2*pi*f_D*tau; with a shared Doppler frequency the weights cancel.
     """
+    from remcr import specfun
+
     profile_weights(profile)
     out = specfun.bessel_j0(2.0 * math.pi * doppler_hz * np.asarray(tau, dtype=float)) ** 2
     return float(out) if np.isscalar(tau) else out
@@ -175,6 +181,8 @@ def _rice_rate(fit: NcChiSqFit, slope: float, thresholds):
     # Rice's formula pdf(T) * sqrt(slope * T) on the fitted density, in log
     # space.  At T = 0 it takes its limit: 0 for dof > 1, +inf for dof < 1,
     # and exp(-noncentrality/2) * sqrt(scale * slope / (2*pi)) for dof = 1.
+    from remcr import specfun
+
     t = np.asarray(thresholds, dtype=float)
     if not np.all(t >= 0.0):  # also rejects NaN
         raise ValueError("thresholds must be non-negative")
@@ -249,6 +257,8 @@ def rician_curve(profile, k_factor: float, doppler_hz: float, noise_power: float
                  thresholds=None) -> LcrCurve:
     """Analytic LCR/AED curve for Rician fading with linear K factor over a
     threshold grid; k_factor = 0 is Rayleigh fading."""
+    from remcr import specfun
+
     fit = fit_ncx2(profile, k_factor)
     t = default_threshold_grid(noise_power)[1] if thresholds is None else np.asarray(thresholds, float)
     lcr = lcr_rician(fit, doppler_hz, t)

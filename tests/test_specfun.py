@@ -11,6 +11,8 @@ from scipy import integrate
 from scipy import special
 
 from remcr.specfun import (
+    _log_pq,
+    _ncx2_log_sf,
     bessel_j0,
     gamma_logpdf,
     gamma_pdf,
@@ -107,6 +109,72 @@ class TestLogBesselI:
         assert np.allclose(ncx2_pdf(x, 0.5, 2.0, 1.0), stats.ncx2.pdf(x, 0.5, 2.0), rtol=1e-10)
 
 
+    @pytest.mark.parametrize("order", [-0.75, 0.0, 0.5, 7.3, 39.5, 40.0, 41.2, 252.0, 1000.0])
+    def test_matches_scipy_over_orders_and_arguments(self, order):
+        # Debye's expansion from order 40 up, the downward recurrence below;
+        # scipy's exponentially scaled ive keeps its log finite for large x
+        x = np.geomspace(1e-3, 1e5, 81)
+        scaled = special.ive(order, x)
+        ok = scaled > 0.0
+        want = np.log(scaled[ok]) + x[ok]
+        got = log_bessel_i(order, x)[ok]
+        assert np.all(np.abs(got - want) <= 2e-13 * np.maximum(1.0, np.abs(want)))
+
+
+class TestIncompleteGamma:
+    @pytest.mark.parametrize("a", [0.25, 0.5, 3.7, 47.7, 252.5, 2500.0])
+    def test_continuous_across_the_series_fraction_switch(self, a):
+        # the series covers y < a + 1 and the continued fraction the rest: Q
+        # agrees with scipy on both sides and falls across the switch, where
+        # 1e-14 steps in y lower it by 1e-15 (a = 0.25) to 4e-13 (a = 2500)
+        y = (a + 1.0) * (1.0 + 1e-14 * np.arange(-3, 4))
+        q = np.exp(_log_pq(a, y)[1])
+        assert np.all(np.diff(q) < 0.0)
+        assert np.allclose(q, special.gammaincc(a, y), rtol=1e-13, atol=0.0)
+
+    def test_matches_scipy_far_into_both_tails(self):
+        for a in (0.5, 3.7, 88.0, 252.5):
+            y = np.geomspace(1e-3, 30.0 * (a + 10.0), 200)
+            want = special.gammaincc(a, y)
+            big = want > 1e-290
+            q = np.exp(_log_pq(a, y)[1])
+            assert np.allclose(q[big], want[big], rtol=1e-11, atol=0.0)
+
+
+    def test_survival_functions_at_the_ends(self):
+        # 1 at and below 0 and where scale*x underflows to 0, 0 where it overflows
+        x = np.array([-1.0, 0.0, 5e-324, 1e300])
+        assert gamma_sf(x, 2.0, 0.1).tolist() == [1.0, 1.0, 1.0, 0.0]
+        assert ncx2_sf(x, 3.0, 2.0, 0.1).tolist() == [1.0, 1.0, 1.0, 0.0]
+
+
+class TestRejectsNaN:
+    def test_ln_gamma(self):
+        with pytest.raises(ValueError):
+            ln_gamma(math.nan)
+        with pytest.raises(ValueError):
+            ln_gamma(np.array([1.0, math.nan]))
+
+    def test_log_bessel_i(self):
+        with pytest.raises(ValueError):
+            log_bessel_i(0.5, np.array([math.nan]))
+        with pytest.raises(ValueError):
+            log_bessel_i(math.nan, np.array([1.0]))
+
+    @pytest.mark.parametrize("args", [(math.nan, 2.0, 1.0), (1.0, math.nan, 1.0), (1.0, 2.0, math.nan),
+                                      (np.array([1.0, math.nan]), 2.0, 1.0)])
+    def test_gamma_sf(self, args):
+        with pytest.raises(ValueError):
+            gamma_sf(*args)
+
+    @pytest.mark.parametrize("args", [(1.0, math.nan, 2.0, 1.0), (math.nan, 3.0, 2.0, 1.0),
+                                      (1.0, 3.0, math.nan, 1.0), (1.0, 3.0, 2.0, math.nan),
+                                      (np.array([1.0, math.nan]), 3.0, 0.0, 1.0)])
+    def test_ncx2_sf(self, args):
+        with pytest.raises(ValueError):
+            ncx2_sf(*args)
+
+
 class TestDensities:
     def test_exponential_at_origin(self):
         assert math.isclose(gamma_pdf(0.0, 1.0, 2.0), 2.0, rel_tol=1e-14)
@@ -179,47 +247,74 @@ class TestDensities:
         assert math.isclose(ncx2_sf(t, 2.7, 3.1, 0.8), tail, rel_tol=1e-8)
 
 
-# Rician (K = 10 dB) moment fit of the no_dominant extreme profile that
-# study_lcr draws at master seed 1: dof, noncentrality, scale.  Its
+# Rician (K = 10 dB) moment fits of the two extreme profiles that study_lcr
+# draws at master seed 1: dof, noncentrality, scale.  STALLING_FIT's
 # half-noncentrality, about 290.9, is one where the summed Poisson weights
-# stall short of 1 - 1e-16.
+# stall short of 1 - 1e-16, and DOMINANT_FIT's upper tail is where a
+# Poisson-mass stopping rule loses the sum.
 STALLING_FIT = (845.0975571892866, 581.7601894174691, 2450.179024423665)
+DOMINANT_FIT = (503.96254118497257, 205.90568496840694, 1251.708405559664)
 
 
-def _ncx2_sf_mass_rule_only(x, dof, noncentrality, scale):
-    """ncx2_sf's Poisson sum with only its mass and 100 001-term stops."""
-    half = 0.5 * noncentrality
-    y = 0.5 * scale * np.maximum(np.asarray(x, dtype=float), 0.0)
-    out = np.zeros_like(y)
-    mass = 0.0
-    j = 0
-    while mass < 1.0 - 1e-16:
-        w = math.exp(-half + j * math.log(half) - special.gammaln(j + 1.0))
-        out += w * special.gammaincc(0.5 * dof + j, y)
-        mass += w
-        j += 1
-        if j > 100000:
-            break
-    return np.where(np.asarray(x) <= 0.0, 1.0, np.clip(out, 0.0, 1.0))
+def _mpmath_ncx2_sf(x, dof, noncentrality, scale):
+    """The Poisson mixture sum_j Pois(j; h) Q(dof/2 + j, scale*x/2) at 40
+    digits, from j = 0 until a term past the Poisson mode is below 1e-45 of
+    the sum.  Q(dof/2, y) is mpmath's; the rest follow from the identity
+    Q(a+1, y) = Q(a, y) + y^a e^-y / Gamma(a+1)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        h = mpmath.mpf(noncentrality) / 2
+        a = mpmath.mpf(dof) / 2
+        y = mpmath.mpf(scale) * mpmath.mpf(x) / 2
+        q = mpmath.gammainc(a, y, mpmath.inf, regularized=True)
+        d = mpmath.exp(a * mpmath.log(y) - y - mpmath.loggamma(a + 1))
+        w = mpmath.exp(-h)
+        total = mpmath.mpf(0)
+        j = 0
+        while True:
+            term = w * q
+            total += term
+            if j > h and term < total * mpmath.mpf(10) ** -45:
+                return total
+            q += d
+            d *= y / (a + j + 1)
+            j += 1
+            w *= h / j
 
 
 class TestNcx2SfStoppingRule:
-    def test_same_result_as_the_sum_without_the_underflow_stop(self):
+    @pytest.mark.parametrize(
+        "fit, db",
+        [pytest.param(DOMINANT_FIT, db, id=f"dominant{db:+}dB") for db in (-6.0, -0.7, 1.0, 2.5, 4.2, 4.8)]
+        + [pytest.param(STALLING_FIT, db, id=f"no_dominant{db:+}dB") for db in (-3.0, 0.5, 3.0, 4.0)],
+    )
+    def test_matches_the_mpmath_sum(self, fit, db):
+        # -0.7 dB and 4.2 dB are where a sum stopped at 1 - 1e-16 of Poisson
+        # mass goes wrong: by 5e-6, and with 2.2e-288 for 6.9e-270
+        x = 10.0 ** (db / 10.0)
+        want = _mpmath_ncx2_sf(x, *fit)
+        got = ncx2_sf(x, *fit)
+        if want > 1e-300:
+            assert abs(got / float(want) - 1.0) <= 1e-10
+        else:  # 4.8 dB and 4.0 dB: 1.2e-341 and 6.2e-448, below the float range
+            assert got == float(want) == 0.0
+
+    def test_term_count(self):
+        # The sums start within sqrt(82 h) + 28 of the Poisson mode, the
+        # upper one upward and the lower one downward, and stop once the
+        # falling term ratio bounds the rest under 1e-17 of the sum: for
+        # h = 290.9 they take 1 024 terms together, in blocks of 64, where a
+        # sum from j = 0 until the weights underflow takes about 1 160.
         x = np.linspace(0.2, 1.6, 15)
-        assert np.array_equal(ncx2_sf(x, *STALLING_FIT), _ncx2_sf_mass_rule_only(x, *STALLING_FIT))
-
-    def test_stops_soon_after_the_weights_underflow(self, monkeypatch):
-        calls = []
-        gammaincc = special.gammaincc
-
-        def counted(a, y):
-            calls.append(a)
-            return gammaincc(a, y)
-
-        monkeypatch.setattr(special, "gammaincc", counted)
-        ncx2_sf(np.linspace(0.2, 1.6, 15), *STALLING_FIT)
-        # w_j underflows past j = 1163 for h = 290.9; the old rule ran 100 001 terms
-        assert 0.5 * STALLING_FIT[1] < len(calls) <= 1200
+        dof, noncentrality, scale = STALLING_FIT
+        _, terms = _ncx2_log_sf(0.5 * scale * x, 0.5 * dof, 0.5 * noncentrality)
+        assert terms <= 1024
+        # The count grows as sqrt(h): at h = 1e6 the thresholds 0.01 to 100
+        # times the mean take under 40 sqrt(h) terms, where a sum from j = 0
+        # would need 1e6 to reach the mode.
+        y = np.geomspace(0.01, 100.0, 231) * (1.0 + 1e6)
+        _, terms = _ncx2_log_sf(y, 1.0, 1e6)
+        assert terms <= 40 * 1000
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -238,28 +333,24 @@ class TestNcx2SfStoppingRule:
 
 _IMPORT_GUARD = """
 import json, sys
-import remcr, remcr.cli, remcr.experiments
+import remcr.cli
+from remcr import experiments
+from remcr.scenario import ScenarioConfig
 codes = [remcr.cli.run([study, "--trials", "3", "--out", f"{sys.argv[1]}/{study}.csv"])
          for study in ("cdf", "grid-tradeoff", "backoff")]
-before = "scipy.special" in sys.modules
-from remcr import specfun
-value = specfun.gamma_sf(1.0, 2.0, 1.0)
-after = "scipy.special" in sys.modules
-import scipy.special
-print(json.dumps({"codes": codes, "before": before, "after": after,
-                  "equal": bool(value == scipy.special.gammaincc(2.0, 1.0))}))
+for study in (experiments.study_lcr, experiments.study_aed):
+    study(ScenarioConfig(), n_profile_trials=40, mc_runs=1)
+print(json.dumps({"codes": codes, "scipy_special": "scipy.special" in sys.modules}))
 """
 
 
-class TestLazyImport:
-    def test_scipy_special_loads_on_first_call(self, tmp_path):
-        # the admission studies never evaluate a special function, so a fresh
-        # process running them must not pay for importing scipy.special
+class TestNoScipySpecial:
+    def test_studies_never_load_scipy_special(self, tmp_path):
+        # every special function on the studies' paths is numpy and math, so a
+        # fresh process running all five does not pay for scipy.special
         proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(tmp_path)],
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         got = json.loads(proc.stdout)
         assert got["codes"] == [0, 0, 0]
-        assert not got["before"]
-        assert got["equal"]
-        assert got["after"]
+        assert not got["scipy_special"]
