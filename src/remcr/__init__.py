@@ -9,12 +9,9 @@ exceedance-duration curves for the admitted aggregate interference.
 from remcr.scenario import ScenarioConfig, ConfigError, interference_threshold, derive_stream
 from remcr.allocation import InterferenceProfile, degradation_db, select_extreme_profiles
 from remcr.lcr import (
-    GammaFit,
     NcChiSqFit,
     FitFailureError,
-    fit_gamma,
     fit_ncx2,
-    lcr_rayleigh,
     lcr_rician,
 )
 
@@ -28,12 +25,9 @@ __all__ = [
     "InterferenceProfile",
     "degradation_db",
     "select_extreme_profiles",
-    "GammaFit",
     "NcChiSqFit",
     "FitFailureError",
-    "fit_gamma",
     "fit_ncx2",
-    "lcr_rayleigh",
     "lcr_rician",
     "__version__",
 ]

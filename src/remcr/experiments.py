@@ -254,11 +254,10 @@ def _lcr_aed_tables(
         "profiles": {},
     }
     for pname, prof in (("dominant", dominant), ("no_dominant", no_dominant)):
-        fit = lcrmod.fit_gamma(prof)
         summary["profiles"][pname] = {
             "n_links": int(len(prof.weights)),
             "mean": float(np.sum(prof.weights)),
-            "gamma_shape": fit.shape,
+            "gamma_shape": 0.5 * lcrmod.fit_ncx2(prof, 0.0).dof,
             "max_weight_share": float(np.max(prof.weights) / np.sum(prof.weights)),
         }
     combos = [

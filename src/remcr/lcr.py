@@ -4,9 +4,10 @@ With N admitted transmitters the instantaneous aggregate interference is
 sum_i w_i * |h_i(t)|**2 with unit-power fading per path.  It is approximated
 by a scaled noncentral chi-square process with real (possibly fractional)
 degrees of freedom, matched to the first three moments under Rician fading.
-Rayleigh fading is the K = 0 case: the noncentrality vanishes, the first two
-moments fix the fit, and the density is the gamma law.  Either way the
-crossing rate at level T is Rice's formula on the fitted density,
+Rayleigh fading is the K = 0 case of the same fit, and the only Rayleigh
+route: the noncentrality vanishes, the first two moments fix the fit, and the
+density is the gamma law.  Either way the crossing rate at level T is Rice's
+formula on the fitted density,
     N(T) = pdf(T) * sqrt(slope * T),
 with slope = 4*pi * f_D**2 / scale, evaluated in log space.  Moment fits
 that admit no valid noncentral chi-square parameters raise FitFailureError,
@@ -29,31 +30,18 @@ from remcr.allocation import FitFailureError, power_sum, profile_weights
 # where no bytecode is cached.
 
 __all__ = [
-    "GammaFit",
     "NcChiSqFit",
     "LcrCurve",
     "FitFailureError",
-    "fit_gamma",
     "fit_ncx2",
     "rician_component_moments",
-    "acf_curvature_at_zero",
     "aggregate_acf",
-    "lcr_rayleigh",
     "lcr_rician",
     "exceedance_duration",
     "default_threshold_grid",
     "rayleigh_curve",
     "rician_curve",
 ]
-
-
-@dataclass(frozen=True)
-class GammaFit:
-    """Gamma approximation of the aggregate: mean shape/rate, variance
-    shape/rate**2."""
-
-    shape: float
-    rate: float
 
 
 @dataclass(frozen=True)
@@ -83,27 +71,15 @@ class LcrCurve:
     aed: np.ndarray
 
 
-def fit_gamma(profile) -> GammaFit:
-    """Moment-match a gamma law to the aggregate under Rayleigh fading.
-
-    Mean sum(w) and variance sum(w**2) give shape = sum(w)**2 / sum(w**2)
-    and rate = sum(w) / sum(w**2).  FitFailureError if a sum underflows to
-    zero or overflows.
-    """
-    w = profile_weights(profile)
-    s1 = power_sum(w, 1)
-    s2 = power_sum(w, 2)
-    return GammaFit(shape=s1 * s1 / s2, rate=s1 / s2)
-
-
 def rician_component_moments(k_factor: float) -> tuple[float, float, float]:
     """(mean, variance, third central moment) of one unit-power Rician
     squared envelope with linear K factor.
 
-    k_factor = 0 reduces to the exponential values (1, 1, 2).
+    k_factor = 0 reduces to the exponential values (1, 1, 2).  ValueError
+    unless k_factor is finite and non-negative.
     """
-    if k_factor < 0.0:
-        raise ValueError("k_factor must be non-negative")
+    if not 0.0 <= k_factor < math.inf:  # also rejects NaN
+        raise ValueError("k_factor must be finite and non-negative")
     kp1 = 1.0 + k_factor
     var = (1.0 + 2.0 * k_factor) / kp1**2
     third = 2.0 * (1.0 + 3.0 * k_factor) / kp1**3
@@ -120,19 +96,18 @@ def fit_ncx2(profile, k_factor: float) -> NcChiSqFit:
     A root must satisfy dof > 0 and noncentrality >= 0 to define a process;
     when no root does (which genuinely happens for moderately dominant
     profiles), FitFailureError is raised, as it is when a power sum of the
-    weights underflows to zero or overflows.  k_factor = 0 degenerates to the
-    central case: the first two moments fix dof = 2*shape, scale = 2*rate of
-    the gamma fit and the third moment is no longer free.
+    weights underflows to zero or overflows.  k_factor = 0 is Rayleigh
+    fading and degenerates to the central case: the first two moments fix
+    dof = 2*m1**2/m2 and scale = 2*m1/m2, twice the shape and rate of the
+    moment-matched gamma law, and the third moment is no longer free.
+    ValueError unless k_factor is finite and non-negative.
     """
     w = profile_weights(profile)
-    if k_factor < 0.0:
-        raise ValueError("k_factor must be non-negative")
-    if k_factor == 0.0:
-        g = fit_gamma(w)
-        return NcChiSqFit(dof=2.0 * g.shape, noncentrality=0.0, scale=2.0 * g.rate)
     _, c2, c3 = rician_component_moments(k_factor)
     m1 = power_sum(w, 1)
-    m2 = c2 * power_sum(w, 2)
+    m2 = c2 * power_sum(w, 2)  # c2 = 1 at k_factor = 0
+    if k_factor == 0.0:
+        return NcChiSqFit(dof=2.0 * (m1 * m1 / m2), noncentrality=0.0, scale=2.0 * (m1 / m2))
     m3 = c3 * power_sum(w, 3)
     # (m3/8) a^2 - m2 a + m1 = 0
     disc = m2 * m2 - 0.5 * m1 * m3
@@ -170,13 +145,6 @@ def aggregate_acf(profile, doppler_hz: float, tau):
     return float(out) if np.isscalar(tau) else out
 
 
-def acf_curvature_at_zero(profile, doppler_hz: float) -> float:
-    """Second derivative at lag zero of the aggregate autocovariance,
-    -4*pi**2 * f_D**2; the weights cancel for a shared Doppler frequency."""
-    profile_weights(profile)
-    return -4.0 * math.pi**2 * float(doppler_hz) ** 2
-
-
 def _rice_rate(fit: NcChiSqFit, slope: float, thresholds):
     # Rice's formula pdf(T) * sqrt(slope * T) on the fitted density, in log
     # space.  At T = 0 it takes its limit: 0 for dof > 1, +inf for dof < 1,
@@ -199,32 +167,17 @@ def _rice_rate(fit: NcChiSqFit, slope: float, thresholds):
     return float(out) if np.isscalar(thresholds) else out
 
 
-def lcr_rayleigh(fit: GammaFit, acf_curv: float, thresholds):
-    """Crossing rate of the gamma-process approximation at the thresholds.
-
-    The gamma law is the central fit (2*shape, 0, 2*rate), and the curvature
-    enters Rice's formula as slope = |acf_curv| / (2*pi*rate).  The
-    single-path case collapses to the classical
-    sqrt(2*pi)*f_D*sqrt(rate*T)*exp(-rate*T).
-    """
-    if fit.shape <= 0.0 or fit.rate <= 0.0:
-        raise ValueError("gamma fit parameters must be positive")
-    if acf_curv >= 0.0:
-        raise ValueError("autocovariance curvature at zero must be negative")
-    central = NcChiSqFit(dof=2.0 * fit.shape, noncentrality=0.0, scale=2.0 * fit.rate)
-    return _rice_rate(central, abs(acf_curv) / (2.0 * math.pi * fit.rate), thresholds)
-
-
 def lcr_rician(fit: NcChiSqFit, doppler_hz: float, thresholds):
     """Crossing rate of the scaled noncentral chi-square approximation.
 
     Equals pdf(T) * sqrt(4*pi * f_D**2 * T / scale), evaluated in log space.
-    A central fit (zero noncentrality) gives the gamma-process rate.
+    A central fit (zero noncentrality) gives the gamma-process rate, the
+    Rayleigh case.  ValueError unless doppler_hz is positive and finite.
     """
     if fit.dof <= 0.0 or fit.scale <= 0.0 or fit.noncentrality < 0.0:
         raise ValueError("invalid noncentral chi-square fit")
-    if doppler_hz <= 0.0:
-        raise ValueError("doppler_hz must be positive")
+    if not 0.0 < doppler_hz < math.inf:  # also rejects NaN
+        raise ValueError("doppler_hz must be positive and finite")
     return _rice_rate(fit, 4.0 * math.pi * doppler_hz**2 / fit.scale, thresholds)
 
 

@@ -1,8 +1,11 @@
 """Log-space special functions for the analytic crossing-rate formulas.
 
-Every density evaluated here can span hundreds of orders of magnitude over a
-threshold sweep, so all magnitudes are carried as logarithms and exponentiated
-only at the very end.  The primitives are plain numpy and `math`:
+The densities and survival functions here can span hundreds of orders of
+magnitude over a threshold sweep, so all magnitudes are carried as logarithms
+and exponentiated only at the very end.  The densities come as logarithms
+only (gamma_logpdf, ncx2_logpdf): Rice's formula in remcr.lcr adds its own
+log factor before it exponentiates.  The primitives are plain numpy and
+`math`:
   - log-gamma is math.lgamma;
   - log I_nu comes from Debye's uniform asymptotic expansion at orders of 40
     and above, and from the downward ratio recurrence below that;
@@ -24,14 +27,11 @@ import math
 import numpy as np
 
 __all__ = [
-    "ln_gamma",
     "bessel_j0",
     "log_bessel_i",
     "gamma_logpdf",
-    "gamma_pdf",
     "gamma_sf",
     "ncx2_logpdf",
-    "ncx2_pdf",
     "ncx2_sf",
 ]
 
@@ -45,19 +45,6 @@ def _not_nan(x, name: str) -> np.ndarray:
     if np.any(np.isnan(arr)):
         raise ValueError(f"{name} requires x that is not NaN")
     return arr
-
-
-def ln_gamma(x):
-    """Natural log of the gamma function for x > 0.
-
-    Vectorized over x.  Raises ValueError on non-positive or NaN input, where
-    the real-valued log would not be defined for our uses.
-    """
-    arr = np.asarray(x, dtype=float)
-    if not np.all(arr > 0.0):
-        raise ValueError("ln_gamma requires x > 0")
-    out = np.array([math.lgamma(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
-    return _result(out, x)
 
 
 def bessel_j0(x):
@@ -263,19 +250,6 @@ def _log_pq(a: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return log_p, log_q
 
 
-def _density(x, logpdf, at_zero: float, name: str):
-    # exp(logpdf) at x > 0 and the x = 0 limit at_zero; a NaN x fails the
-    # x >= 0 test and is rejected rather than given the limit.
-    arr = np.asarray(x, dtype=float)
-    if not np.all(arr >= 0.0):
-        raise ValueError(f"{name} requires x >= 0")
-    out = np.full_like(arr, at_zero)
-    pos = arr > 0.0
-    with np.errstate(over="ignore"):
-        out[pos] = np.exp(logpdf(arr[pos]))
-    return _result(out, x)
-
-
 def gamma_logpdf(x, shape: float, rate: float):
     """log of the gamma density (shape/rate parameterization, mean
     shape/rate) at x > 0:
@@ -287,18 +261,6 @@ def gamma_logpdf(x, shape: float, rate: float):
     if not np.all(x > 0.0):
         raise ValueError("gamma_logpdf requires x > 0")
     return shape * math.log(rate) + (shape - 1.0) * np.log(x) - rate * x - math.lgamma(shape)
-
-
-def gamma_pdf(x, shape: float, rate: float):
-    """Gamma density with shape/rate parameterization (mean shape/rate).
-
-    exp(gamma_logpdf) at x > 0; x = 0 follows the usual limits (rate for
-    shape = 1, +inf below, 0 above).  Vectorized over x.
-    """
-    if not (shape > 0.0 and rate > 0.0):
-        raise ValueError("gamma_pdf requires shape > 0 and rate > 0")
-    at_zero = rate if shape == 1.0 else (math.inf if shape < 1.0 else 0.0)
-    return _density(x, lambda v: gamma_logpdf(v, shape, rate), at_zero, "gamma_pdf")
 
 
 def gamma_sf(x, shape: float, rate: float):
@@ -339,24 +301,6 @@ def ncx2_logpdf(x, dof: float, noncentrality: float, scale: float):
         - 0.5 * (noncentrality + scale * x)
         + 0.5 * order * (np.log(scale * x) - math.log(noncentrality))
         + logi
-    )
-
-
-def ncx2_pdf(x, dof: float, noncentrality: float, scale: float):
-    """Density of the scaled noncentral chi-square of ncx2_logpdf.
-
-    exp(ncx2_logpdf) at x > 0; x = 0 follows the limits (scale/2 *
-    exp(-noncentrality/2) for dof = 2, +inf below, 0 above).  Vectorized
-    over x.
-    """
-    if not (dof > 0.0 and scale > 0.0 and noncentrality >= 0.0):
-        raise ValueError("ncx2_pdf requires dof > 0, scale > 0, noncentrality >= 0")
-    if dof == 2.0:
-        at_zero = 0.5 * scale * math.exp(-0.5 * noncentrality)
-    else:
-        at_zero = math.inf if dof < 2.0 else 0.0
-    return _density(
-        x, lambda v: ncx2_logpdf(v, dof, noncentrality, scale), at_zero, "ncx2_pdf"
     )
 
 
@@ -468,6 +412,7 @@ def _ncx2_log_sf(y: np.ndarray, a: float, h: float) -> tuple[np.ndarray, int]:
     j0 = max(0, math.floor(h - math.sqrt(82.0 * h)) + 1)
     _, log_q = _log_pq(a + j0, y[rows])
     out[rows], terms = _poisson_mixture(y[rows], a, h, j0, log_q, down=False)
+    # Downward over P: an upward Q sum rounds SF near 1 up and down, not monotone.
     rows = ~upper & (bound > _LOG_CDF_IS_0)
     j1 = math.ceil(h + math.sqrt(82.0 * h) + 28.0)
     log_p, _ = _log_pq(a + j1, y[rows])

@@ -22,12 +22,8 @@ from remcr.experiments import study_backoff, study_lcr
 from remcr.fadingsim import generate_fading
 from remcr.lcr import (
     FitFailureError,
-    GammaFit,
-    acf_curvature_at_zero,
     aggregate_acf,
-    fit_gamma,
     fit_ncx2,
-    lcr_rayleigh,
     lcr_rician,
     rician_component_moments,
 )
@@ -72,12 +68,13 @@ def test_criterion_01_threshold_identity(base_cfg):
 
 def test_criterion_02_classical_reductions():
     f_d = 25.0
-    curv = -4.0 * math.pi**2 * f_d**2
     grid = np.geomspace(0.01, 10.0, 181)
 
     worst_ray = 0.0
     for rate in (0.25, 1.0, 4.0):
-        got = lcr_rayleigh(GammaFit(shape=1.0, rate=rate), curv, grid / rate)
+        # one Rayleigh path of power 1/rate: the K = 0 fit is exponential,
+        # shape dof/2 = 1 and rate scale/2
+        got = lcr_rician(fit_ncx2([1.0 / rate], 0.0), f_d, grid / rate)
         want = math.sqrt(2.0 * math.pi) * f_d * np.sqrt(grid) * np.exp(-grid)
         worst_ray = max(worst_ray, float(np.max(np.abs(got / want - 1.0))))
 
@@ -138,18 +135,18 @@ def test_criterion_04_peak_and_tail(base_cfg, extremes):
     parts = []
     ok = True
     for name, prof in zip(("dominant", "no_dominant"), extremes):
-        fit = fit_gamma(prof.weights)
-        curv = acf_curvature_at_zero(prof, f_d)
+        fit = fit_ncx2(prof, 0.0)  # Rayleigh: the gamma law of shape dof/2, rate scale/2
+        shape, rate = 0.5 * fit.dof, 0.5 * fit.scale
         mean_db = 10.0 * math.log10(float(np.sum(prof.weights)))
-        peak_db = 10.0 * math.log10((fit.shape - 0.5) / fit.rate)
+        peak_db = 10.0 * math.log10((shape - 0.5) / rate)
         dense = np.geomspace(
             10.0 ** ((mean_db - 12.0) / 10.0), 10.0 ** ((mean_db + 6.0) / 10.0), 6001
         )
         argmax_db = 10.0 * math.log10(
-            float(dense[np.argmax(lcr_rayleigh(fit, curv, dense))])
+            float(dense[np.argmax(lcr_rician(fit, f_d, dense))])
         )
         tail = (
-            float(lcr_rayleigh(fit, curv, np.array([10.0 ** ((mean_db + 5.0) / 10.0)]))[0])
+            float(lcr_rician(fit, f_d, np.array([10.0 ** ((mean_db + 5.0) / 10.0)]))[0])
             / f_d
         )
         good = (
@@ -171,7 +168,8 @@ def test_criterion_05_gamma_ks(base_cfg, extremes):
     ok = True
     for name, prof in zip(("dominant", "no_dominant"), extremes):
         w = prof.weights
-        fit = fit_gamma(w)
+        fit = fit_ncx2(w, 0.0)
+        shape, rate = 0.5 * fit.dof, 0.5 * fit.scale
         stream = derive_stream(base_cfg.master_seed, 0, "acceptance-ks-" + name)
         total, chunk = 1_000_000, 20_000
         samples = np.empty(total)
@@ -180,7 +178,7 @@ def test_criterion_05_gamma_ks(base_cfg, extremes):
                 stream.standard_exponential((chunk, w.size)) @ w
             )
         samples.sort()
-        cdf = stats.gamma.cdf(samples, fit.shape, scale=1.0 / fit.rate)
+        cdf = stats.gamma.cdf(samples, shape, scale=1.0 / rate)
         hi = np.arange(1, total + 1) / total
         ks = float(max(np.max(np.abs(cdf - hi)), np.max(np.abs(cdf - hi + 1.0 / total))))
         good = ks <= caps[name]

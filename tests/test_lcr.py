@@ -7,46 +7,49 @@ from scipy import special, stats
 from remcr.fadingsim import count_crossings, generate_fading, merge_counted
 from remcr.lcr import (
     FitFailureError,
-    GammaFit,
     NcChiSqFit,
-    acf_curvature_at_zero,
     aggregate_acf,
     default_threshold_grid,
     exceedance_duration,
-    fit_gamma,
     fit_ncx2,
-    lcr_rayleigh,
     lcr_rician,
     rayleigh_curve,
     rician_component_moments,
     rician_curve,
 )
-from remcr.specfun import gamma_pdf, gamma_sf, ncx2_pdf
+from remcr.specfun import gamma_sf, ncx2_logpdf
+
+
+def _gamma_law(fit):
+    # the gamma law (shape, rate) of a central fit: shape dof/2, rate scale/2
+    assert fit.noncentrality == 0.0
+    return fit.dof / 2.0, fit.scale / 2.0
 
 
 class TestFitGamma:
+    # The moment-matched gamma law of Rayleigh fading is the K = 0 fit.
     def test_uniform_ones(self):
-        fit = fit_gamma([1.0] * 7)
-        assert math.isclose(fit.shape, 7.0, rel_tol=1e-12)
-        assert math.isclose(fit.rate, 1.0, rel_tol=1e-12)
+        shape, rate = _gamma_law(fit_ncx2([1.0] * 7, 0.0))
+        assert math.isclose(shape, 7.0, rel_tol=1e-12)
+        assert math.isclose(rate, 1.0, rel_tol=1e-12)
 
     def test_single_weight_is_exponential(self):
-        fit = fit_gamma([2.0])
-        assert math.isclose(fit.shape, 1.0, rel_tol=1e-12)
-        assert math.isclose(fit.rate, 0.5, rel_tol=1e-12)
+        shape, rate = _gamma_law(fit_ncx2([2.0], 0.0))
+        assert math.isclose(shape, 1.0, rel_tol=1e-12)
+        assert math.isclose(rate, 0.5, rel_tol=1e-12)
 
     def test_two_weight_arithmetic(self):
-        fit = fit_gamma([3.0, 1.0])
-        assert math.isclose(fit.shape, 1.6, rel_tol=1e-12)
-        assert math.isclose(fit.rate, 0.4, rel_tol=1e-12)
+        shape, rate = _gamma_law(fit_ncx2([3.0, 1.0], 0.0))
+        assert math.isclose(shape, 1.6, rel_tol=1e-12)
+        assert math.isclose(rate, 0.4, rel_tol=1e-12)
 
     def test_ks_against_mc(self):
         # 3 E1 + E2 versus the fitted gamma(1.6, rate 0.4)
         stream = np.random.default_rng(30)
         samples = 3.0 * stream.exponential(size=1_000_000) + stream.exponential(size=1_000_000)
-        fit = fit_gamma([3.0, 1.0])
+        shape, rate = _gamma_law(fit_ncx2([3.0, 1.0], 0.0))
         samples.sort()
-        cdf = stats.gamma.cdf(samples, a=fit.shape, scale=1.0 / fit.rate)
+        cdf = stats.gamma.cdf(samples, a=shape, scale=1.0 / rate)
         n = len(samples)
         ks = max(
             np.max(cdf - np.arange(n) / n),
@@ -57,7 +60,7 @@ class TestFitGamma:
     @pytest.mark.parametrize("weight", [1e-300, 1e170, 1e308], ids=["w2-underflows", "w2-overflows", "sum-overflows"])
     def test_unusable_moment_sum_fails(self, weight):
         with pytest.raises(FitFailureError, match="power sum of the weights is (0|inf)"):
-            fit_gamma([weight] * 3)
+            fit_ncx2([weight] * 3, 0.0)
 
 
 class TestComponentMoments:
@@ -98,11 +101,12 @@ class TestFitNcx2:
     def test_k_zero_matches_gamma_moments(self):
         weights = [0.4, 0.7, 1.1]
         nc = fit_ncx2(weights, 0.0)
-        g = fit_gamma(weights)
-        assert math.isclose((nc.dof + nc.noncentrality) / nc.scale, g.shape / g.rate, rel_tol=1e-12)
+        # the gamma law's mean shape/rate is sum(w), its variance
+        # shape/rate**2 is sum(w**2)
+        assert math.isclose((nc.dof + nc.noncentrality) / nc.scale, sum(weights), rel_tol=1e-12)
         assert math.isclose(
             2.0 * (nc.dof + 2.0 * nc.noncentrality) / nc.scale**2,
-            g.shape / g.rate**2,
+            sum(w * w for w in weights),
             rel_tol=1e-12,
         )
 
@@ -146,47 +150,46 @@ class TestAcf:
         assert np.allclose(got, expected, rtol=1e-12)
 
     def test_curvature_weights_cancel(self):
-        expected = -4.0 * math.pi**2 * 625.0
-        for weights in ([1.0], [0.2, 0.9, 1.7]):
-            got = acf_curvature_at_zero(weights, 25.0)
-            assert math.isclose(got, expected, rel_tol=1e-12)
+        # a shared Doppler frequency: the weights drop out of the autocovariance
+        tau = np.linspace(0.0, 0.02, 9)
+        assert np.array_equal(aggregate_acf([1.0], 25.0, tau), aggregate_acf([0.2, 0.9, 1.7], 25.0, tau))
 
     def test_curvature_matches_finite_difference(self):
+        # Rice's slope 4 pi f_D**2 / scale rests on the curvature at lag
+        # zero, -4 pi**2 f_D**2
         h = 1e-6
         fd = 2.0 * (aggregate_acf([1.0], 25.0, h) - 1.0) / h**2
-        got = acf_curvature_at_zero([1.0], 25.0)
-        assert math.isclose(got, fd, rel_tol=1e-4)
+        assert math.isclose(-4.0 * math.pi**2 * 625.0, fd, rel_tol=1e-4)
 
 
 class TestLcrRayleigh:
+    # Rayleigh rates are lcr_rician on the central (K = 0) fit, whose gamma
+    # law has shape dof/2 and rate scale/2.
     def test_classical_single_path_value(self):
-        fit = fit_gamma([1.0])
-        curv = acf_curvature_at_zero([1.0], 25.0)
-        got = lcr_rayleigh(fit, curv, 1.0)
+        fit = fit_ncx2([1.0], 0.0)
+        got = lcr_rician(fit, 25.0, 1.0)
         expected = math.sqrt(2.0 * math.pi) * 25.0 * math.exp(-1.0)
         assert math.isclose(got, expected, rel_tol=1e-12)
         assert math.isclose(expected, 23.0534, rel_tol=1e-4)
 
     def test_classical_reduction_across_levels(self):
-        fit = GammaFit(shape=1.0, rate=1.0)
-        curv = acf_curvature_at_zero([1.0], 25.0)
+        fit = NcChiSqFit(dof=2.0, noncentrality=0.0, scale=2.0)  # shape 1, rate 1
         t = np.geomspace(0.01, 10.0, 40)
-        got = lcr_rayleigh(fit, curv, t)
+        got = lcr_rician(fit, 25.0, t)
         expected = math.sqrt(2.0 * math.pi) * 25.0 * np.sqrt(t) * np.exp(-t)
         assert np.allclose(got, expected, rtol=1e-10)
 
     def test_vanishes_at_low_threshold(self):
-        fit = GammaFit(shape=4.0, rate=2.0)
-        curv = acf_curvature_at_zero([1.0], 25.0)
-        assert lcr_rayleigh(fit, curv, 1e-12) < 1e-30
+        fit = NcChiSqFit(dof=8.0, noncentrality=0.0, scale=4.0)  # shape 4, rate 2
+        assert lcr_rician(fit, 25.0, 1e-12) < 1e-30
 
     def test_peak_location(self):
-        fit = GammaFit(shape=5.0, rate=8.0)
-        curv = acf_curvature_at_zero([1.0], 25.0)
+        fit = NcChiSqFit(dof=10.0, noncentrality=0.0, scale=16.0)  # shape 5, rate 8
+        shape, rate = _gamma_law(fit)
         t = np.linspace(0.01, 3.0, 20_000)
-        got = lcr_rayleigh(fit, curv, t)
+        got = lcr_rician(fit, 25.0, t)
         t_peak = t[np.argmax(got)]
-        assert abs(t_peak - (fit.shape - 0.5) / fit.rate) < 2e-4
+        assert abs(t_peak - (shape - 0.5) / rate) < 2e-4
 
 
 class TestLcrRician:
@@ -197,7 +200,7 @@ class TestLcrRician:
         f_d = 25.0
         t = np.geomspace(0.05, 5.0, 60)
         got = lcr_rician(fit, f_d, t)
-        dens = ncx2_pdf(t, fit.dof, fit.noncentrality, fit.scale)
+        dens = np.exp(ncx2_logpdf(t, fit.dof, fit.noncentrality, fit.scale))
         expected = dens * np.sqrt(4.0 * math.pi * f_d**2 * t / fit.scale)
         assert np.allclose(got, expected, rtol=1e-10)
 
@@ -249,15 +252,22 @@ class TestLcrRician:
             assert at_zero == 0.0 and near < 1e-9
 
 
-def _gamma_closed_form_lcr(fit, acf_curv, t):
-    # the gamma-process rate as its own closed form,
+def _gamma_moments(w):
+    # (shape, rate) of the gamma law with mean sum(w) and variance sum(w**2)
+    w = np.asarray(w, dtype=float)
+    return np.sum(w) ** 2 / np.sum(w**2), np.sum(w) / np.sum(w**2)
+
+
+def _gamma_closed_form_lcr(shape, rate, doppler_hz, t):
+    # the gamma-process rate as its own closed form, with the autocovariance
+    # curvature c = -4 pi**2 f_D**2 at lag zero,
     # (1 / (2 Gamma(shape))) sqrt(2 |c| / pi) (rate T)**(shape - 1/2) exp(-rate T)
-    x = fit.rate * t
+    x = rate * t
     return np.exp(
         -math.log(2.0)
-        - special.gammaln(fit.shape)
-        + 0.5 * math.log(2.0 * abs(acf_curv) / math.pi)
-        + (fit.shape - 0.5) * np.log(x)
+        - special.gammaln(shape)
+        + 0.5 * math.log(8.0 * math.pi * doppler_hz**2)
+        + (shape - 0.5) * np.log(x)
         - x
     )
 
@@ -268,21 +278,24 @@ class TestSingleRoute:
         for _ in range(50):
             w = stream.uniform(0.01, 0.5, size=int(stream.integers(1, 40)))
             curve = rayleigh_curve(w, 25.0)
-            fit = fit_gamma(w)
-            lcr = _gamma_closed_form_lcr(fit, acf_curvature_at_zero(w, 25.0), curve.thresholds)
-            aed = gamma_sf(curve.thresholds, fit.shape, fit.rate) / lcr
+            shape, rate = _gamma_moments(w)
+            lcr = _gamma_closed_form_lcr(shape, rate, 25.0, curve.thresholds)
+            aed = gamma_sf(curve.thresholds, shape, rate) / lcr
             np.testing.assert_allclose(curve.lcr, lcr, rtol=1e-12, atol=1e-280)
             big = lcr > 1e-280
             np.testing.assert_allclose(curve.aed[big], aed[big], rtol=1e-12)
 
     def test_central_rician_equals_rayleigh(self):
-        fit = fit_gamma([0.3, 0.05, 0.9, 0.2])
-        central = NcChiSqFit(dof=2.0 * fit.shape, noncentrality=0.0, scale=2.0 * fit.rate)
+        w = [0.3, 0.05, 0.9, 0.2]
+        shape, rate = _gamma_moments(w)
+        central = NcChiSqFit(dof=2.0 * shape, noncentrality=0.0, scale=2.0 * rate)
         t = np.concatenate(([0.0], np.geomspace(1e-3, 20.0, 80)))
         f_d = 25.0
         got = lcr_rician(central, f_d, t)
-        expected = lcr_rayleigh(fit, -4.0 * math.pi**2 * f_d**2, t)
+        expected = rayleigh_curve(w, f_d, thresholds=t).lcr
         np.testing.assert_allclose(got, expected, rtol=1e-13)
+        assert got[0] == 0.0
+        np.testing.assert_allclose(got[1:], _gamma_closed_form_lcr(shape, rate, f_d, t[1:]), rtol=1e-12)
 
     def test_rician_curve_at_zero_k_is_rayleigh(self):
         profile = [0.2, 0.2, 0.18, 0.01]
@@ -294,19 +307,17 @@ class TestSingleRoute:
     # at shape 1/2, sqrt(2 |c| / pi) / (2 sqrt(pi)) with |c| = 4 pi**2 f_D**2
     @pytest.mark.parametrize("shape,limit", [(0.3, math.inf), (0.5, 25.0 * math.sqrt(2.0)), (2.0, 0.0)])
     def test_rayleigh_zero_threshold_is_the_limit(self, shape, limit):
-        curv = acf_curvature_at_zero([1.0], 25.0)
-        assert math.isclose(lcr_rayleigh(GammaFit(shape=shape, rate=1.0), curv, 0.0), limit, rel_tol=1e-14)
+        central = NcChiSqFit(dof=2.0 * shape, noncentrality=0.0, scale=2.0)  # rate 1
+        assert math.isclose(lcr_rician(central, 25.0, 0.0), limit, rel_tol=1e-14)
 
 
 @pytest.mark.parametrize(
     "evaluate",
     [
-        lambda t: lcr_rayleigh(GammaFit(2.0, 1.0), -1.0, t),
+        lambda t: rayleigh_curve([1.0], 25.0, thresholds=t),
         lambda t: lcr_rician(NcChiSqFit(3.0, 2.0, 3.0), 25.0, t),
-        lambda t: gamma_pdf(t, 3.0, 1.0),
-        lambda t: ncx2_pdf(t, 3.0, 2.0, 3.0),
     ],
-    ids=["lcr_rayleigh", "lcr_rician", "gamma_pdf", "ncx2_pdf"],
+    ids=["rayleigh_curve", "lcr_rician"],
 )
 @pytest.mark.parametrize("t", [math.nan, np.array([1.0, math.nan]), -1.0])
 def test_nan_or_negative_threshold_rejected(evaluate, t):
@@ -339,9 +350,8 @@ class TestCurves:
     def test_rayleigh_curve_consistency(self):
         profile = [0.05, 0.1, 0.15]
         curve = rayleigh_curve(profile, 25.0)
-        fit = fit_gamma(profile)
-        curv = acf_curvature_at_zero(profile, 25.0)
-        direct = lcr_rayleigh(fit, curv, curve.thresholds)
+        shape, rate = _gamma_moments(profile)
+        direct = _gamma_closed_form_lcr(shape, rate, 25.0, curve.thresholds)
         assert np.allclose(curve.lcr, direct, rtol=1e-12)
 
     def test_rician_curve_consistency(self):
@@ -354,10 +364,30 @@ class TestCurves:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize(
         "build",
-        [fit_gamma, lambda w: fit_ncx2(w, 10.0), lambda w: rayleigh_curve(w, 25.0),
+        [lambda w: fit_ncx2(w, 0.0), lambda w: fit_ncx2(w, 10.0), lambda w: rayleigh_curve(w, 25.0),
          lambda w: rician_curve(w, 10.0, 25.0)],
-        ids=["fit_gamma", "fit_ncx2", "rayleigh_curve", "rician_curve"],
+        ids=["fit_ncx2_k0", "fit_ncx2", "rayleigh_curve", "rician_curve"],
     )
     def test_non_finite_weight_rejected(self, build, bad):
         with pytest.raises(ValueError, match="positive finite weight"):
             build([1.0, bad])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+class TestRejectsNonFinite:
+    # a non-finite K factor or Doppler frequency is bad input, not a fit failure
+    def test_rician_component_moments(self, bad):
+        with pytest.raises(ValueError, match="k_factor must be finite"):
+            rician_component_moments(bad)
+
+    def test_fit_ncx2(self, bad):
+        with pytest.raises(ValueError, match="k_factor must be finite"):
+            fit_ncx2([0.3, 0.5, 0.4], bad)
+
+    def test_lcr_rician(self, bad):
+        with pytest.raises(ValueError, match="doppler_hz must be positive and finite"):
+            lcr_rician(fit_ncx2([0.3, 0.5, 0.4], 10.0), bad, np.array([0.5, 1.0]))
+
+    def test_rician_curve(self, bad):
+        with pytest.raises(ValueError, match="doppler_hz must be positive and finite"):
+            rician_curve([0.3, 0.5, 0.4], 3.0, bad)

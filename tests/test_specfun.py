@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy import special
@@ -15,25 +15,11 @@ from remcr.specfun import (
     _ncx2_log_sf,
     bessel_j0,
     gamma_logpdf,
-    gamma_pdf,
     gamma_sf,
-    ln_gamma,
     log_bessel_i,
     ncx2_logpdf,
-    ncx2_pdf,
     ncx2_sf,
 )
-
-
-class TestLnGamma:
-    def test_unit(self):
-        assert ln_gamma(1.0) == 0.0
-
-    def test_half(self):
-        assert math.isclose(ln_gamma(0.5), math.log(math.sqrt(math.pi)), rel_tol=1e-14)
-
-    def test_factorial(self):
-        assert math.isclose(ln_gamma(11.0), math.log(3628800.0), rel_tol=1e-14)
 
 
 class TestBesselJ0:
@@ -106,7 +92,7 @@ class TestLogBesselI:
         x = np.array([0.5, 2.0])
         expected = special.iv(0.75, x) + 2.0 / math.pi * math.sin(0.75 * math.pi) * special.kv(0.75, x)
         assert np.allclose(np.exp(log_bessel_i(-0.75, x)), expected, rtol=1e-12)
-        assert np.allclose(ncx2_pdf(x, 0.5, 2.0, 1.0), stats.ncx2.pdf(x, 0.5, 2.0), rtol=1e-10)
+        assert np.allclose(np.exp(ncx2_logpdf(x, 0.5, 2.0, 1.0)), stats.ncx2.pdf(x, 0.5, 2.0), rtol=1e-10)
 
 
     @pytest.mark.parametrize("order", [-0.75, 0.0, 0.5, 7.3, 39.5, 40.0, 41.2, 252.0, 1000.0])
@@ -149,12 +135,6 @@ class TestIncompleteGamma:
 
 
 class TestRejectsNaN:
-    def test_ln_gamma(self):
-        with pytest.raises(ValueError):
-            ln_gamma(math.nan)
-        with pytest.raises(ValueError):
-            ln_gamma(np.array([1.0, math.nan]))
-
     def test_log_bessel_i(self):
         with pytest.raises(ValueError):
             log_bessel_i(0.5, np.array([math.nan]))
@@ -176,14 +156,11 @@ class TestRejectsNaN:
 
 
 class TestDensities:
-    def test_exponential_at_origin(self):
-        assert math.isclose(gamma_pdf(0.0, 1.0, 2.0), 2.0, rel_tol=1e-14)
-
     def test_gamma_matches_scipy(self):
         from scipy import stats
 
         x = np.linspace(0.01, 30.0, 50)
-        mine = gamma_pdf(x, 3.7, 0.9)
+        mine = np.exp(gamma_logpdf(x, 3.7, 0.9))
         ref = stats.gamma.pdf(x, a=3.7, scale=1.0 / 0.9)
         assert np.allclose(mine, ref, rtol=1e-10)
         assert np.allclose(gamma_sf(x, 3.7, 0.9), stats.gamma.sf(x, a=3.7, scale=1.0 / 0.9), rtol=1e-10)
@@ -194,7 +171,7 @@ class TestDensities:
         x = np.linspace(0.05, 80.0, 60)
         v, lam, alpha = 4.3, 7.1, 1.9
         # scaled variable: X = Y/alpha with Y ~ ncx2(v, lam)
-        mine = ncx2_pdf(x, v, lam, alpha)
+        mine = np.exp(ncx2_logpdf(x, v, lam, alpha))
         ref = stats.ncx2.pdf(alpha * x, df=v, nc=lam) * alpha
         assert np.allclose(mine, ref, rtol=1e-8)
         assert np.allclose(
@@ -203,8 +180,8 @@ class TestDensities:
 
     def test_ncx2_degenerates_to_gamma(self):
         x = np.linspace(0.1, 10.0, 30)
-        near_central = ncx2_pdf(x, 5.0, 1e-12, 2.0)
-        central = gamma_pdf(x, 2.5, 1.0)
+        near_central = np.exp(ncx2_logpdf(x, 5.0, 1e-12, 2.0))
+        central = np.exp(gamma_logpdf(x, 2.5, 1.0))
         assert np.allclose(near_central, central, atol=1e-8, rtol=1e-6)
 
     def test_logpdfs_match_scipy(self):
@@ -222,7 +199,6 @@ class TestDensities:
         x = np.geomspace(1e-3, 50.0, 40)
         for dof, scale in ((0.7, 0.3), (2.0, 1.0), (9.4, 2.6)):
             assert np.array_equal(ncx2_logpdf(x, dof, 0.0, scale), gamma_logpdf(x, dof / 2, scale / 2))
-            assert np.array_equal(ncx2_pdf(x, dof, 0.0, scale), gamma_pdf(x, dof / 2, scale / 2))
             x_sf = np.concatenate(([-1.0, 0.0], x))
             assert np.array_equal(ncx2_sf(x_sf, dof, 0.0, scale), gamma_sf(x_sf, dof / 2, scale / 2))
 
@@ -237,13 +213,13 @@ class TestDensities:
 
     def test_ncx2_normalized(self):
         total, err = integrate.quad(
-            lambda x: ncx2_pdf(x, 2.7, 3.1, 0.8), 0.0, np.inf, limit=200
+            lambda x: np.exp(ncx2_logpdf(x, 2.7, 3.1, 0.8)), 0.0, np.inf, limit=200
         )
         assert abs(total - 1.0) < 1e-8
 
     def test_ncx2_sf_from_quadrature(self):
         t = 6.0
-        tail, _ = integrate.quad(lambda x: ncx2_pdf(x, 2.7, 3.1, 0.8), t, np.inf, limit=200)
+        tail, _ = integrate.quad(lambda x: np.exp(ncx2_logpdf(x, 2.7, 3.1, 0.8)), t, np.inf, limit=200)
         assert math.isclose(ncx2_sf(t, 2.7, 3.1, 0.8), tail, rel_tol=1e-8)
 
 
@@ -323,6 +299,9 @@ class TestNcx2SfStoppingRule:
         scale=st.floats(0.1, 5000.0),
         factors=st.lists(st.floats(0.0, 4.0), min_size=2, max_size=12),
     )
+    # SF just below 1: a sum of Q terms upward gives 0.9999999999999993 and
+    # then 1.0 here, where the downward sum over P falls as it should
+    @example(dof=1.0, noncentrality=396.5, scale=1.0, factors=[0.34375, 0.359375])
     def test_in_unit_interval_and_nonincreasing(self, dof, noncentrality, scale, factors):
         mean = (dof + noncentrality) / scale
         x = mean * np.sort(factors)
