@@ -7,9 +7,9 @@ ascending order of estimated interference while the estimated total stays
 within the interference budget implied by the protection buffer (the rule
 that maximizes the admitted count for the information it has).  The budget
 does not involve the protected link's power (see interference_threshold), so
-its estimate s_est is recorded in a profile but cannot change the decision.
-The realized degradation is evaluated with the true link powers, which is
-where map imperfection shows up.
+a profile holds the secondary links alone.  The realized degradation is
+evaluated with the true link powers, which is where map imperfection shows
+up.
 """
 
 from __future__ import annotations
@@ -47,19 +47,15 @@ class TooFewProfilesError(ValueError):
 
 @dataclass(frozen=True)
 class InterferenceProfile:
-    """Admitted set of one trial.
+    """Admitted secondary transmitters of one trial.
 
     weights      true mean interference of each admitted transmitter
     est_weights  the estimates the admission decision was based on, in the
                  ascending order the greedy rule visited them
-    s_true       true mean power of the protected link
-    s_est        the map's estimate of the same
     """
 
     weights: np.ndarray
     est_weights: np.ndarray
-    s_true: float = math.nan
-    s_est: float = math.nan
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)

@@ -56,13 +56,13 @@ _RECEIVER = (0.0, 0.0)
 class TrialBatch:
     """Raw draws of a block of trials; row i is trial trials[i].
 
-    The link arrays have one column per transmitter.  Column 0 is the
-    licensed transmitter, whose link to the receiver is the protected one;
-    columns 1 .. counts[i] are the active secondary transmitters, and zero
-    padding fills the row up to the block's largest count.  active marks
-    the secondary columns that hold a transmitter, (n_trials, max_active).
+    The link arrays have one column per secondary transmitter: columns
+    0 .. counts[i]-1 are the active ones, and zero padding fills the row up
+    to the block's largest count.  active marks the columns that hold a
+    transmitter, (n_trials, max_active).  The licensed transmitter has no
+    column: the interference budget does not involve its link.
 
-    xy           positions, (n_trials, 1 + max_active, 2)
+    xy           positions, (n_trials, max_active, 2)
     shadows      true shadowing in the natural-log domain
     fresh        the fresh shadowing draws the map estimate mixes in
     true_powers  true mean received power at the protected receiver
@@ -92,53 +92,42 @@ def draw_trials(cfg: ScenarioConfig, consts: PowerConstants, trials) -> TrialBat
     trials = np.array(trials, dtype=np.int64).reshape(-1)
     if len(trials) == 0:
         raise ValueError("need at least one trial")
-    pu_xy, pu_shadow, pu_fresh, crs, shadows, fresh = [], [], [], [], [], []
+    crs, shadows, fresh = [], [], []
     for i in trials.tolist():
         place_stream = derive_stream(cfg.master_seed, i, _PLACE_TAG)
         shadow_stream = derive_stream(cfg.master_seed, i, _SHADOW_TAG)
         rem_stream = derive_stream(cfg.master_seed, i, _REM_TAG)
         placement = sample_placement(place_stream, cfg)
         n = len(placement.crs)
-        pu_xy.append(placement.pu_tx)
         crs.append(placement.crs)
         shadows.append(sample_shadows(shadow_stream, n, cfg.sigma_dB))
-        pu_shadow.append(sample_shadows(shadow_stream, 1, cfg.sigma_dB))
         fresh.append(sample_shadows(rem_stream, n, cfg.sigma_dB))
-        pu_fresh.append(sample_shadows(rem_stream, 1, cfg.sigma_dB))
 
     counts = np.array([len(xy) for xy in crs], dtype=np.int64)
     active = np.arange(counts.max(initial=0)) < counts[:, None]
 
-    def links(licensed, secondary):
-        """Per-trial values of the licensed link, then the secondary links
-        of all trials in trial order, as padded link columns."""
-        if len(secondary) == active.size:
-            padded = secondary.reshape(active.shape + secondary.shape[1:])
-        else:
-            padded = np.zeros(active.shape + secondary.shape[1:])
-            padded[active] = secondary
-        return np.concatenate((licensed[:, None], padded), axis=1)
+    def links(values):
+        """The links of all trials, in trial order, as padded link columns."""
+        if len(values) == active.size:
+            return values.reshape(active.shape + values.shape[1:])
+        padded = np.zeros(active.shape + values.shape[1:])
+        padded[active] = values
+        return padded
 
-    def true_power(const, shadow, xy):
-        # np.hypot, unlike the map distances: these bits reach the profile weights
-        return received_power(const, shadow, np.hypot(xy[:, 0], xy[:, 1]), cfg.gamma_pl)
-
-    pu_xy = np.array(pu_xy, dtype=float)
-    pu_shadow = np.concatenate(pu_shadow)
     xy = np.concatenate(crs)
     sh = np.concatenate(shadows)
+    # np.hypot, unlike the map distances: these bits reach the profile weights
+    true_powers = received_power(consts.cr, sh, np.hypot(xy[:, 0], xy[:, 1]), cfg.gamma_pl)
     return TrialBatch(
         cfg=cfg,
         consts=consts,
         trials=trials,
         counts=counts,
         active=active,
-        xy=links(pu_xy, xy),
-        shadows=links(pu_shadow, sh),
-        fresh=links(np.concatenate(pu_fresh), np.concatenate(fresh)),
-        true_powers=links(
-            true_power(consts.pu, pu_shadow, pu_xy), true_power(consts.cr, sh, xy)
-        ),
+        xy=links(xy),
+        shadows=links(sh),
+        fresh=links(np.concatenate(fresh)),
+        true_powers=links(true_powers),
     )
 
 
@@ -158,15 +147,14 @@ class Evaluation:
     est_sorted / true_sorted list each trial's secondary links in ascending
     order of estimated power (ties keep link order); padding sorts last with
     an infinite estimate and zero true power, so it is never admitted and
-    adds nothing.  s_est is the protected link's estimate, and clamped marks
-    the links, in the batch's column order, whose cell-center distance was
-    clamped.
+    adds nothing.  clamped marks the links, in the batch's column order,
+    whose cell-center distance was clamped; padding sits at the origin, so
+    it reads as clamped.
     """
 
     batch: TrialBatch
     est_sorted: np.ndarray
     true_sorted: np.ndarray
-    s_est: np.ndarray
     clamped: np.ndarray
 
     def admitted(self, budget: float) -> np.ndarray:
@@ -202,14 +190,13 @@ class Evaluation:
         return cum_est.min(axis=1, initial=math.inf)
 
     def profiles(self, budget: float) -> list[InterferenceProfile]:
-        """Admitted profile of every trial for the budget.  The profiles own
+        """Admitted profile of every trial for the budget: the true and
+        estimated powers of its admitted secondary links.  The profiles own
         their weights, so keeping them does not keep the block's arrays."""
         return [
             InterferenceProfile(
                 weights=self.true_sorted[row, :k].copy(),
                 est_weights=self.est_sorted[row, :k].copy(),
-                s_true=float(self.batch.true_powers[row, 0]),
-                s_est=float(self.s_est[row]),
             )
             for row, k in enumerate(self.admitted(budget).tolist())
         ]
@@ -219,8 +206,8 @@ def evaluate(batch: TrialBatch, delta: float, D_d: float) -> Evaluation:
     """Map estimates and admission order of a batch at grid size delta and
     decorrelation distance D_d; pure and vectorized across trials.
 
-    One rem.estimate_links call estimates every link, the protected one
-    included, against the snapped receiver.
+    One rem.estimate_links call estimates every secondary link against the
+    snapped receiver.
     """
     return next(_evaluations(batch, delta, [D_d]))
 
@@ -236,28 +223,25 @@ def _evaluations(batch: TrialBatch, delta: float, dds):
     Padding needs no such care: its columns all pair an infinite estimate
     with zero true power, so their order changes nothing.
     """
-    cfg, consts = batch.cfg, batch.consts
-    power_const = np.full(batch.shadows.shape[1], consts.cr)
-    power_const[0] = consts.pu
+    cfg = batch.cfg
     est, _, _, clamped = estimate_links(
-        batch.fresh, power_const, cfg.gamma_pl, batch.shadows, batch.xy,
+        batch.fresh, batch.consts.cr, cfg.gamma_pl, batch.shadows, batch.xy,
         snap_points(batch.xy, delta), _RECEIVER, snap_points(_RECEIVER, delta),
         np.array(dds, dtype=float)[:, None, None], cfg.R0,
     )
     rows = np.arange(len(batch))[:, None]
     for est_dd in est:
-        secondary = np.where(batch.active, est_dd[:, 1:], math.inf)
-        order = np.argsort(secondary, axis=1)
-        est_sorted = secondary[rows, order]
+        est_dd = np.where(batch.active, est_dd, math.inf)
+        order = np.argsort(est_dd, axis=1)
+        est_sorted = est_dd[rows, order]
         tie = est_sorted[:, 1:] == est_sorted[:, :-1]
         if tie.any() and np.isfinite(est_sorted[:, 1:][tie]).any():
-            order = np.argsort(secondary, axis=1, kind="stable")
-            est_sorted = secondary[rows, order]
+            order = np.argsort(est_dd, axis=1, kind="stable")
+            est_sorted = est_dd[rows, order]
         yield Evaluation(
             batch=batch,
             est_sorted=est_sorted,
-            true_sorted=batch.true_powers[:, 1:][rows, order],
-            s_est=est_dd[:, 0],
+            true_sorted=batch.true_powers[rows, order],
             clamped=clamped,
         )
 

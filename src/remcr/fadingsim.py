@@ -131,12 +131,17 @@ def count_crossings(series: FadingSeries, thresholds) -> EmpiricalCurve:
 
     Implemented with sorted rising sample pairs: the number of pairs with
     a < T <= b equals (number of a below T) - (number of b below T), so one
-    sort serves the whole threshold grid.
+    sort serves the whole threshold grid.  ValueError on a NaN threshold or
+    a non-finite sample, either of which would skew the counts silently.
     """
     t = np.asarray(thresholds, dtype=float)
     s = series.samples
     if len(s) < 2:
         raise ValueError("need at least two samples")
+    if np.isnan(t).any():
+        raise ValueError("thresholds must not be NaN")
+    if not np.isfinite(s).all():
+        raise ValueError("samples must be finite")
     a, b = s[:-1], s[1:]
     rising = a < b
     lo = np.sort(a[rising])

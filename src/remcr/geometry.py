@@ -104,7 +104,9 @@ def sample_placement(stream: np.random.Generator, cfg: ScenarioConfig) -> Placem
     """Draw the licensed transmitter and the active secondary transmitters.
 
     Draw order (licensed position, active count, secondary positions) is part
-    of the determinism contract for a given stream.
+    of the determinism contract for a given stream.  The admission pipeline
+    does not use the licensed position, but drawing it keeps every secondary
+    position where the stream has always put it.
     """
     pu_tx = sample_annulus_points(stream, 1, cfg.R0, cfg.R)[0]
     n_active = sample_cr_count(stream, cfg.cr_density, cfg.R, cfg.activity_p)

@@ -172,9 +172,11 @@ def lcr_rician(fit: NcChiSqFit, doppler_hz: float, thresholds):
 
     Equals pdf(T) * sqrt(4*pi * f_D**2 * T / scale), evaluated in log space.
     A central fit (zero noncentrality) gives the gamma-process rate, the
-    Rayleigh case.  ValueError unless doppler_hz is positive and finite.
+    Rayleigh case.  ValueError unless doppler_hz, dof and scale are
+    positive and finite and the noncentrality is finite and non-negative.
     """
-    if fit.dof <= 0.0 or fit.scale <= 0.0 or fit.noncentrality < 0.0:
+    if not (0.0 < fit.dof < math.inf and 0.0 < fit.scale < math.inf
+            and 0.0 <= fit.noncentrality < math.inf):
         raise ValueError("invalid noncentral chi-square fit")
     if not 0.0 < doppler_hz < math.inf:  # also rejects NaN
         raise ValueError("doppler_hz must be positive and finite")
@@ -195,7 +197,10 @@ def exceedance_duration(crossing_rate, survival_prob):
 
 def default_threshold_grid(noise_power: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Threshold sweep used by the studies: -15 dB to +8 dB relative to the
-    noise power in 0.1 dB steps.  Returns (grid in dB, grid in linear)."""
+    noise power in 0.1 dB steps.  Returns (grid in dB, grid in linear).
+    ValueError unless noise_power is positive and finite."""
+    if not 0.0 < noise_power < math.inf:  # also rejects NaN
+        raise ValueError("noise_power must be positive and finite")
     db = np.round(np.arange(-150, 81) * 0.1, 10)
     return db, noise_power * 10.0 ** (db / 10.0)
 

@@ -17,7 +17,8 @@ log factor before it exponentiates.  The primitives are plain numpy and
 Only bessel_j0, which no study reaches, imports scipy.special (on its first
 call), so the studies never load it.
 
-The other functions raise ValueError on a NaN argument or parameter.
+The other functions raise ValueError on a NaN argument, and on a parameter
+that is NaN, infinite or out of its range.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ __all__ = [
 
 def _result(out, x):
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+
+
+def _check_ncx2(name: str, dof: float, noncentrality: float, scale: float) -> None:
+    if not (0.0 < dof < math.inf and 0.0 < scale < math.inf and 0.0 <= noncentrality < math.inf):
+        raise ValueError(f"{name} requires finite dof > 0, scale > 0 and noncentrality >= 0")
 
 
 def _not_nan(x, name: str) -> np.ndarray:
@@ -115,8 +121,8 @@ def log_bessel_i(order: float, x) -> np.ndarray:
     I_{k-1}/I_k = 2k/x + I_{k+1}/I_k runs down to the order; it is stable in
     that direction and its terms stay positive since every k > 0.
     """
-    if not order > -1.0:
-        raise ValueError("log_bessel_i requires order > -1")
+    if not -1.0 < order < math.inf:
+        raise ValueError("log_bessel_i requires a finite order > -1")
     x = np.asarray(x, dtype=float)
     if not np.all(x >= 0.0):
         raise ValueError("log_bessel_i requires x >= 0")
@@ -255,8 +261,8 @@ def gamma_logpdf(x, shape: float, rate: float):
     shape/rate) at x > 0:
         shape*ln(rate) + (shape-1)*ln(x) - rate*x - lnGamma(shape).
     Vectorized over x."""
-    if not (shape > 0.0 and rate > 0.0):
-        raise ValueError("gamma_logpdf requires shape > 0 and rate > 0")
+    if not (0.0 < shape < math.inf and 0.0 < rate < math.inf):
+        raise ValueError("gamma_logpdf requires finite shape > 0 and rate > 0")
     x = np.asarray(x, dtype=float)
     if not np.all(x > 0.0):
         raise ValueError("gamma_logpdf requires x > 0")
@@ -266,8 +272,8 @@ def gamma_logpdf(x, shape: float, rate: float):
 def gamma_sf(x, shape: float, rate: float):
     """Survival function of the gamma law, the regularized upper incomplete
     gamma Q(shape, rate*x); 1 at x <= 0.  Vectorized over x."""
-    if not (shape > 0.0 and rate > 0.0):
-        raise ValueError("gamma_sf requires shape > 0 and rate > 0")
+    if not (0.0 < shape < math.inf and 0.0 < rate < math.inf):
+        raise ValueError("gamma_sf requires finite shape > 0 and rate > 0")
     arr = _not_nan(x, "gamma_sf")
     with np.errstate(over="ignore"):
         y = rate * arr
@@ -287,8 +293,7 @@ def ncx2_logpdf(x, dof: float, noncentrality: float, scale: float):
     gamma_logpdf with shape dof/2 and rate scale/2; a tiny positive
     noncentrality lands on that limit smoothly.  Vectorized over x.
     """
-    if not (dof > 0.0 and scale > 0.0 and noncentrality >= 0.0):
-        raise ValueError("ncx2_logpdf requires dof > 0, scale > 0, noncentrality >= 0")
+    _check_ncx2("ncx2_logpdf", dof, noncentrality, scale)
     if noncentrality == 0.0:
         return gamma_logpdf(x, 0.5 * dof, 0.5 * scale)
     x = np.asarray(x, dtype=float)
@@ -432,8 +437,7 @@ def ncx2_sf(x, dof: float, noncentrality: float, scale: float):
     zero noncentrality it is gamma_sf with shape dof/2 and rate scale/2.  The
     work grows as sqrt(h).  Vectorized over x.
     """
-    if not (dof > 0.0 and scale > 0.0 and noncentrality >= 0.0):
-        raise ValueError("ncx2_sf requires dof > 0, scale > 0, noncentrality >= 0")
+    _check_ncx2("ncx2_sf", dof, noncentrality, scale)
     half = 0.5 * noncentrality
     if half == 0.0:  # also where a subnormal noncentrality halves to 0
         return gamma_sf(x, 0.5 * dof, 0.5 * scale)

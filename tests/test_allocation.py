@@ -25,20 +25,18 @@ def _admit(candidates):
     the receiver's, 1 m away on the map, and a decorrelation distance of
     1e-6 m makes rho exactly 0: a link's estimate is exp(fresh)."""
     n = len(candidates)
-    true = [1.0] + [t for t, _ in candidates]
-    est = [1.0] + [e for _, e in candidates]
-    xy = np.tile([1.5, 0.5], (1, n + 1, 1))
-    xy[0, 0] = [500.5, 0.5]  # the licensed transmitter
+    true = [t for t, _ in candidates]
+    est = [e for _, e in candidates]
     batch = TrialBatch(
         cfg=ScenarioConfig(),
         consts=PowerConstants(pu=1.0, cr=1.0),
         trials=np.zeros(1, dtype=np.int64),
         counts=np.array([n]),
         active=np.ones((1, n), dtype=bool),
-        xy=xy,
-        shadows=np.zeros((1, n + 1)),
-        fresh=np.log([est]),
-        true_powers=np.array([true]),
+        xy=np.tile([1.5, 0.5], (1, n, 1)),
+        shadows=np.zeros((1, n)),
+        fresh=np.log(np.reshape(est, (1, n))),
+        true_powers=np.reshape(true, (1, n)),
     )
     return evaluate(batch, 1.0, 1e-6).profiles(interference_threshold(2.0, 1.0))[0]
 

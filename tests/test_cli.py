@@ -274,24 +274,37 @@ class TestConsoleScript:
 
 
 class TestGoldenOutput:
-    """SHA-256 of the CSV output at the sizes of acceptance criterion 10.
+    """SHA-256 of each study's output at the configs of acceptance criterion
+    10: CSV, and JSON for aed.
 
-    The digests pin every printed digit of the admission studies; any change
-    to the draws, the map estimate, the admission order or the rounding of a
-    reduction shows here.
+    The digests pin every printed digit of the five studies; any change to
+    the draws, the map estimate, the admission order, the analytic curves,
+    the fading oracle or the rounding of a reduction shows here.
     """
 
+    PLAIN, SPARSE = "master_seed = 7\n", "cr_density = 50\n"
     DIGESTS = {
-        "cdf": ("120", "24e346c35d379f79c5a5c4ac45874b1a24dfa649da7a3a890a0ef2aa10e97e2e"),
-        "grid-tradeoff": ("60", "87892d95dd54c778566ae7e7d67d8e262f7f76b8175ef33d4ac825038b44cede"),
-        "backoff": ("150", "6d808a317c80d196a59a136516fde6dcc7be3ef646e3303828321a38b570673a"),
+        "cdf": (PLAIN, "120", "24e346c35d379f79c5a5c4ac45874b1a24dfa649da7a3a890a0ef2aa10e97e2e"),
+        "grid-tradeoff": (PLAIN, "60", "87892d95dd54c778566ae7e7d67d8e262f7f76b8175ef33d4ac825038b44cede"),
+        "backoff": (PLAIN, "150", "6d808a317c80d196a59a136516fde6dcc7be3ef646e3303828321a38b570673a"),
+        "lcr": (SPARSE, "60", "dbf20d3e8254d5cb0eadf47e7b2bc6387e14e18b6eda38dcbade4e03928611af"),
     }
+    AED_JSON = "64ca255b42ef301a4453c1e8c0fb97f8020dc271c939ea7153e5279009ab0837"
+
+    @staticmethod
+    def _digest(tmp_path, study, config, trials, *extra):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        argv = [study, "--config", str(cfg), "--trials", trials, *extra, "--out", str(out)]
+        assert run(argv) == 0
+        return hashlib.sha256(out.read_bytes()).hexdigest()
 
     @pytest.mark.parametrize("study", sorted(DIGESTS))
     def test_csv_digest(self, tmp_path, study):
-        trials, digest = self.DIGESTS[study]
-        cfg = tmp_path / "plain.cfg"
-        cfg.write_text("master_seed = 7\n")
-        out = tmp_path / "out.csv"
-        assert run([study, "--config", str(cfg), "--trials", trials, "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        config, trials, digest = self.DIGESTS[study]
+        assert self._digest(tmp_path, study, config, trials) == digest
+
+    def test_aed_json_digest(self, tmp_path):
+        digest = self._digest(tmp_path, "aed", self.SPARSE, "60", "--format", "json")
+        assert digest == self.AED_JSON

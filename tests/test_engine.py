@@ -62,7 +62,7 @@ def _row(ev, row):
     """A trial's candidate links in an evaluation, without padding:
     (est_sorted, true_sorted, number of clamped links)."""
     n = int(ev.batch.counts[row])
-    clamped = int(np.count_nonzero(ev.clamped[row, 1 : n + 1]))
+    clamped = int(np.count_nonzero(ev.clamped[row, :n]))
     return ev.est_sorted[row, :n], ev.true_sorted[row, :n], clamped
 
 
@@ -149,8 +149,6 @@ class TestDrawCandidates:
         b = evaluate(draw_trials(base_cfg, consts, [3]), base_cfg.delta_grid, base_cfg.D_d)
         assert np.array_equal(a.est_sorted, b.est_sorted)
         assert np.array_equal(a.true_sorted, b.true_sorted)
-        assert np.array_equal(a.s_est, b.s_est)
-        assert np.array_equal(a.batch.true_powers[:, 0], b.batch.true_powers[:, 0])
 
     def test_trials_differ(self, base_cfg, consts):
         a = _trial(base_cfg, consts, 0)
@@ -267,21 +265,21 @@ class TestSharedGeometry:
                 assert np.all(index == index[0])
                 got, want = seen[int(index[0])], evaluate(batch, delta, dd)
                 assert got.batch is batch
-                for name in ("est_sorted", "true_sorted", "s_est", "clamped"):
+                for name in ("est_sorted", "true_sorted", "clamped"):
                     assert np.array_equal(getattr(got, name), getattr(want, name)), name
                 if delta == 400.0:
                     assert got.clamped.any()
 
 
 def _tied_block(counts, seed, n_values, n_cells):
-    """A hand-built block whose secondary links draw their fresh value from
+    """A hand-built block whose links draw their fresh value from
     n_values and their map cell from n_cells, so that links sharing both
     have exactly equal estimates; true powers are distinct.
 
     Evaluated at grid size 1 and D_d = 1e-6 m: every transmitter sits on a
     cell center and the receiver's displacement is huge against D_d, so rho
     is exactly 0 and a link's estimate is cr * exp(fresh) * r_hat**-gamma.
-    Returns the block and its unsorted secondary estimates, +inf on padding.
+    Returns the block and its unsorted estimates, +inf on padding.
     """
     rng = np.random.default_rng(seed)
     counts = np.asarray(counts, dtype=np.int64)
@@ -290,14 +288,12 @@ def _tied_block(counts, seed, n_values, n_cells):
     cells = rng.integers(1, 400, size=(n_cells, 2)) + 0.5
     pick_v = rng.integers(n_values, size=active.shape)
     pick_c = rng.integers(n_cells, size=active.shape)
-    xy = np.zeros(active.shape[:1] + (1 + active.shape[1], 2))
-    fresh = np.zeros(xy.shape[:2])
-    true = np.zeros(xy.shape[:2])
-    xy[:, 0] = [500.5, 0.5]  # the licensed transmitter
-    xy[:, 1:][active] = cells[pick_c][active]
-    fresh[:, 1:][active] = values[pick_v][active]
-    true[:, 0] = 1.0
-    true[:, 1:][active] = rng.permutation(active.sum()) + 1.0
+    xy = np.zeros(active.shape + (2,))
+    fresh = np.zeros(active.shape)
+    true = np.zeros(active.shape)
+    xy[active] = cells[pick_c][active]
+    fresh[active] = values[pick_v][active]
+    true[active] = rng.permutation(active.sum()) + 1.0
     cfg = ScenarioConfig()
     batch = TrialBatch(
         cfg=cfg,
@@ -310,8 +306,8 @@ def _tied_block(counts, seed, n_values, n_cells):
         fresh=fresh,
         true_powers=true,
     )
-    grid = xy[:, 1:] - 0.5  # the receiver's cell center is (0.5, 0.5)
-    est = np.exp(fresh[:, 1:]) * np.sqrt(grid[..., 0] ** 2 + grid[..., 1] ** 2) ** -cfg.gamma_pl
+    grid = xy - 0.5  # the receiver's cell center is (0.5, 0.5)
+    est = np.exp(fresh) * np.sqrt(grid[..., 0] ** 2 + grid[..., 1] ** 2) ** -cfg.gamma_pl
     return batch, np.where(active, est, math.inf)
 
 
@@ -340,7 +336,7 @@ class TestAdmissionOrder:
         ev = evaluate(batch, 1.0, 1e-6)
         order = np.argsort(est, axis=1, kind="stable")
         want_est = np.take_along_axis(est, order, axis=1)
-        want_true = np.take_along_axis(batch.true_powers[:, 1:], order, axis=1)
+        want_true = np.take_along_axis(batch.true_powers, order, axis=1)
         assert np.array_equal(ev.est_sorted, want_est)
         assert np.array_equal(ev.true_sorted, want_true)
 

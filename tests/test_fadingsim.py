@@ -201,6 +201,23 @@ class TestCountCrossings:
         curve = count_crossings(series, [0.0])
         assert curve.rates[0] == 0.0  # before < T fails at equality
 
+    @pytest.mark.parametrize(
+        "samples, thresholds",
+        [
+            ([0.0, 1.0, 0.0, 1.0, 0.0], [math.nan, 0.5]),
+            ([0.0, 1.0, math.nan, 1.0, 0.0], [0.5]),
+            ([0.0, 1.0, math.inf, 1.0, 0.0], [0.5]),
+            ([0.0, 1.0, -math.inf, 1.0, 0.0], [0.5]),
+        ],
+        ids=["nan-threshold", "nan-sample", "inf-sample", "minus-inf-sample"],
+    )
+    def test_nan_threshold_or_non_finite_sample_rejected(self, samples, thresholds):
+        # each used to give plausible counts: rate 0 at a NaN level, and 0.2 /s
+        # at 0.5 from a trace with one bad sample
+        series = FadingSeries(samples=np.array(samples), dt=1.0, duration=5.0)
+        with pytest.raises(ValueError):
+            count_crossings(series, thresholds)
+
 
 class TestMergeCounted:
     def test_pooling_preserves_identity(self):

@@ -17,7 +17,7 @@ from remcr.lcr import (
     rician_component_moments,
     rician_curve,
 )
-from remcr.specfun import gamma_sf, ncx2_logpdf
+from remcr.specfun import gamma_logpdf, gamma_sf, log_bessel_i, ncx2_logpdf, ncx2_sf
 
 
 def _gamma_law(fit):
@@ -391,3 +391,36 @@ class TestRejectsNonFinite:
     def test_rician_curve(self, bad):
         with pytest.raises(ValueError, match="doppler_hz must be positive and finite"):
             rician_curve([0.3, 0.5, 0.4], 3.0, bad)
+
+
+_T = [0.0, 1.0]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: lcr_rician(NcChiSqFit(2.0, 0.0, math.inf), 25.0, _T), id="lcr_rician-scale"),
+        pytest.param(lambda: lcr_rician(NcChiSqFit(math.inf, 0.0, 1.0), 25.0, _T), id="lcr_rician-dof"),
+        pytest.param(lambda: lcr_rician(NcChiSqFit(2.0, math.inf, 1.0), 25.0, _T), id="lcr_rician-nc"),
+        pytest.param(lambda: gamma_logpdf([1.0], math.inf, 1.0), id="gamma_logpdf-shape"),
+        pytest.param(lambda: gamma_logpdf([1.0], 1.0, math.inf), id="gamma_logpdf-rate"),
+        pytest.param(lambda: gamma_sf([1.0], math.inf, 1.0), id="gamma_sf-shape"),
+        pytest.param(lambda: gamma_sf([1.0], 1.0, math.inf), id="gamma_sf-rate"),
+        pytest.param(lambda: ncx2_logpdf([1.0], math.inf, 1.0, 1.0), id="ncx2_logpdf-dof"),
+        pytest.param(lambda: ncx2_logpdf([1.0], 2.0, math.inf, 1.0), id="ncx2_logpdf-nc"),
+        pytest.param(lambda: ncx2_logpdf([1.0], 2.0, 1.0, math.inf), id="ncx2_logpdf-scale"),
+        pytest.param(lambda: ncx2_sf([1.0], math.inf, 1.0, 1.0), id="ncx2_sf-dof"),
+        pytest.param(lambda: ncx2_sf([1.0], 2.0, math.inf, 1.0), id="ncx2_sf-nc"),
+        pytest.param(lambda: ncx2_sf([1.0], 2.0, 1.0, math.inf), id="ncx2_sf-scale"),
+        pytest.param(lambda: log_bessel_i(math.inf, [1.0]), id="log_bessel_i-order"),
+        pytest.param(lambda: default_threshold_grid(math.nan), id="grid-nan"),
+        pytest.param(lambda: default_threshold_grid(-1.0), id="grid-negative"),
+        pytest.param(lambda: default_threshold_grid(0.0), id="grid-zero"),
+        pytest.param(lambda: default_threshold_grid(math.inf), id="grid-inf"),
+    ],
+)
+def test_non_finite_or_out_of_range_parameter_rejected(call):
+    # an error, not a NaN (or a RuntimeWarning, which this test turns into one)
+    with pytest.raises(ValueError):
+        call()
