@@ -2,9 +2,11 @@
 
 Mean received power over a link of length r is  C * exp(X) * r**(-gamma_pl),
 where C is a transmit-power constant and X = ln(10)/10 * N(0, sigma_dB**2) is
-the shadowing term in the natural-log domain.  Transmit powers are calibrated
-so each system meets a 5 dB SNR target at the 95th percentile of its own link
-distribution, which fixes the interference scale of every study.
+the shadowing term in the natural-log domain.  The secondary transmit power
+is calibrated so a secondary link meets a 5 dB SNR target at the 95th
+percentile of its distribution, which fixes the interference scale of every
+study.  The licensed link needs no constant: the interference budget does not
+involve its power (see scenario.interference_threshold).
 """
 
 from __future__ import annotations
@@ -28,16 +30,14 @@ __all__ = [
 SNR_TARGET_LINEAR = 10.0**0.5
 SNR_TARGET_QUANTILE = 0.05
 
-_CAL_PU_TAG = "calibrate-pu"
 _CAL_CR_TAG = "calibrate-cr"
 _CHUNK = 2**14  # shadowing values drawn at a time; bounds calibration's scratch
 
 
 @dataclass(frozen=True)
 class PowerConstants:
-    """Calibrated transmit-power constants for the two systems."""
+    """Calibrated transmit-power constant of the secondary transmitters."""
 
-    pu: float
     cr: float
 
 
@@ -45,11 +45,13 @@ def received_power(power_const, shadow_log, distance_m, pathloss_exp: float):
     """Mean received power power_const * exp(shadow_log) * distance**(-exp).
 
     Array in, array out: power_const, shadow_log and distance_m broadcast
-    against each other."""
+    against each other.  A power beyond the float range is inf, with no
+    floating-point warning; the callers decide what an infinite power means."""
     d = np.asarray(distance_m, dtype=float)
     if (d <= 0.0).any():
         raise ValueError("received_power requires positive distance")
-    return power_const * np.exp(shadow_log) * d ** (-pathloss_exp)
+    with np.errstate(over="ignore"):
+        return power_const * np.exp(shadow_log) * d ** (-pathloss_exp)
 
 
 def sample_shadows(stream: np.random.Generator, n: int, sigma_db: float) -> np.ndarray:
@@ -84,11 +86,10 @@ def gudmundson_correlation(d_tx_m, d_rx_m, decorr_m):
     return out
 
 
-def _link_quantile(
-    cfg: ScenarioConfig, r_inner: float, r_outer: float, n_samples: int, tag: str
-) -> float:
-    """5th percentile of exp(X) * r**(-gamma_pl) over shadowing and a link
-    distance drawn like the annulus placements (r**2 uniform).
+def _link_quantile(cfg: ScenarioConfig, n_samples: int) -> float:
+    """5th percentile of exp(X) * r**(-gamma_pl) over shadowing and a
+    secondary link distance drawn like the annulus placements (r**2 uniform
+    on [R0**2, Rc**2]).
 
     The working set is one n_samples array: it takes the r**2 draws, then
     their square roots in place, then the gains, _CHUNK at a time.  The
@@ -100,19 +101,17 @@ def _link_quantile(
     A ConfigError if that percentile is not finite and positive: the
     transmit power that meets the SNR target would then be infinite or
     undefined (sigma_dB = 1e5 underflows the percentile to 0)."""
-    stream = derive_stream(cfg.master_seed, 0, tag)
-    gains = stream.uniform(r_inner * r_inner, r_outer * r_outer, size=n_samples)
+    stream = derive_stream(cfg.master_seed, 0, _CAL_CR_TAG)
+    gains = stream.uniform(cfg.R0 * cfg.R0, cfg.Rc * cfg.Rc, size=n_samples)
     np.sqrt(gains, out=gains)
     for lo in range(0, n_samples, _CHUNK):
         part = gains[lo : lo + _CHUNK]
         shadows = sample_shadows(stream, len(part), cfg.sigma_dB)
-        with np.errstate(over="ignore"):  # gains far above the percentile may be inf
-            part[:] = received_power(1.0, shadows, part, cfg.gamma_pl)
+        part[:] = received_power(1.0, shadows, part, cfg.gamma_pl)
     q = _percentile(gains, SNR_TARGET_QUANTILE)
     if not (math.isfinite(q) and q > 0.0):
-        link = "licensed" if tag == _CAL_PU_TAG else "secondary"
         raise ConfigError(
-            f"cannot calibrate the {link} link: its 5th-percentile gain is {q:g} "
+            f"cannot calibrate the secondary link: its 5th-percentile gain is {q:g} "
             f"(sigma_dB = {cfg.sigma_dB:g}, gamma_pl = {cfg.gamma_pl:g})"
         )
     return q
@@ -139,34 +138,29 @@ def _percentile(values: np.ndarray, q: float) -> float:
 
 
 def calibrate(cfg: ScenarioConfig, n_samples: int = 200_000) -> PowerConstants:
-    """Calibrate both transmit-power constants for a scenario from
-    n_samples >= 1e4 draws of each link.
+    """Calibrate the secondary transmit-power constant for a scenario from
+    n_samples >= 1e4 draws of a secondary link.
 
-    The licensed constant is chosen so the licensed receiver's SNR is at
-    least 5 dB with probability 0.95 over placement and shadowing.  The 5th
-    percentile of the link gain is linear in the constant, so no search is
-    needed:
-        pu = SNR_TARGET_LINEAR * noise_power / quantile(licensed link).
-    The same 95%-coverage criterion is applied to a secondary link whose
-    distance spans the secondary cell (annulus [R0, Rc]), so
-        cr = pu * quantile(licensed link) / quantile(secondary link),
-    which makes the secondary 5th-percentile SNR exactly the 5 dB target;
-    with shadowing switched off the ratio cr/pu approaches (Rc/R)**gamma_pl.
+    The constant is chosen so a secondary link whose distance spans the
+    secondary cell (annulus [R0, Rc]) has an SNR of at least 5 dB with
+    probability 0.95 over placement and shadowing.  The 5th percentile of
+    the link gain is linear in the constant, so no search is needed:
+        cr = SNR_TARGET_LINEAR * noise_power / quantile(secondary link);
+    with shadowing switched off it approaches
+    SNR_TARGET_LINEAR * noise_power * r95**gamma_pl, r95 being the radius
+    that holds 95 % of the annulus area.
 
-    Each quantile is numpy's type-7 percentile of one link's gains, held in
-    one n_samples array and drawn in chunks that keep the stream order of
-    one draw (see _link_quantile).  A ConfigError if either constant is not
-    finite and positive (noise_power = 1e300 overflows both).
+    The quantile is numpy's type-7 percentile of the link gains, held in one
+    n_samples array and drawn in chunks that keep the stream order of one
+    draw (see _link_quantile).  A ConfigError if the constant is not finite
+    and positive (noise_power = 1e300 overflows it).
     """
     if n_samples < 10_000:
         raise ValueError("calibration needs at least 1e4 samples")
-    q_pu = _link_quantile(cfg, cfg.R0, cfg.R, n_samples, _CAL_PU_TAG)
-    pu = SNR_TARGET_LINEAR * cfg.noise_power / q_pu
-    q_cr = _link_quantile(cfg, cfg.R0, cfg.Rc, n_samples, _CAL_CR_TAG)
-    cr = pu * q_pu / q_cr
-    if not (0.0 < pu < math.inf and 0.0 < cr < math.inf):
+    cr = SNR_TARGET_LINEAR * cfg.noise_power / _link_quantile(cfg, n_samples)
+    if not 0.0 < cr < math.inf:
         raise ConfigError(
-            f"cannot calibrate the transmit powers: pu = {pu:g} and cr = {cr:g} must be "
-            f"finite and positive (noise_power = {cfg.noise_power:g})"
+            f"cannot calibrate the secondary link: cr = {cr:g} must be finite and "
+            f"positive (noise_power = {cfg.noise_power:g})"
         )
-    return PowerConstants(pu=pu, cr=cr)
+    return PowerConstants(cr=cr)

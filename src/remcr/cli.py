@@ -33,12 +33,15 @@ from remcr.scenario import (
 
 __all__ = ["run", "entry"]
 
-_TRIAL_DEFAULTS = {
-    "cdf": 2000,
-    "grid-tradeoff": 600,
-    "backoff": 2000,
-    "lcr": 1000,
-    "aed": 1000,
+# command -> (help text, study, the study's trial-count keyword); each study
+# keeps its own default trial count
+_STUDIES = {
+    "cdf": ("degradation CDF per map grid size", exp.study_cdf, "n_trials"),
+    "grid-tradeoff": ("largest grid size meeting an exceedance bound",
+                      exp.study_grid_tradeoff, "n_trials"),
+    "backoff": ("reduced admission buffer keeping violations rare", exp.study_backoff, "n_trials"),
+    "lcr": ("analytic vs Monte Carlo crossing rates", exp.study_lcr, "n_profile_trials"),
+    "aed": ("analytic vs Monte Carlo exceedance durations", exp.study_aed, "n_profile_trials"),
 }
 
 
@@ -48,15 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Shared-spectrum admission and interference-dynamics studies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = [
-        ("cdf", "degradation CDF per map grid size"),
-        ("grid-tradeoff", "largest grid size meeting an exceedance bound"),
-        ("backoff", "reduced admission buffer keeping violations rare"),
-        ("lcr", "analytic vs Monte Carlo crossing rates"),
-        ("aed", "analytic vs Monte Carlo exceedance durations"),
-        ("validate", "run the invariant self-checks"),
-    ]
-    for name, help_text in specs:
+    specs = [(name, help_text) for name, (help_text, _, _) in _STUDIES.items()]
+    for name, help_text in specs + [("validate", "run the invariant self-checks")]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="scenario file of key=value lines")
         p.add_argument("--seed", type=int, help="override the master seed")
@@ -193,22 +189,16 @@ def run(argv=None) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
 
-    trials = args.trials if args.trials is not None else _TRIAL_DEFAULTS[args.command]
-    if trials < 1:
-        print("config error: --trials must be at least 1", file=sys.stderr)
-        return 2
+    _, study, trials_keyword = _STUDIES[args.command]
+    kwargs = {}
+    if args.trials is not None:
+        if args.trials < 1:
+            print("config error: --trials must be at least 1", file=sys.stderr)
+            return 2
+        kwargs[trials_keyword] = args.trials
 
     try:
-        if args.command == "cdf":
-            table = exp.study_cdf(cfg, n_trials=trials)
-        elif args.command == "grid-tradeoff":
-            table = exp.study_grid_tradeoff(cfg, n_trials=trials)
-        elif args.command == "backoff":
-            table = exp.study_backoff(cfg, n_trials=trials)
-        elif args.command == "lcr":
-            table = exp.study_lcr(cfg, n_profile_trials=trials)
-        else:
-            table = exp.study_aed(cfg, n_profile_trials=trials)
+        table = study(cfg, **kwargs)
     except lcrmod.FitFailureError as exc:
         print(f"fit failure: {exc}", file=sys.stderr)
         return 3

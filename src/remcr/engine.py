@@ -26,7 +26,7 @@ from remcr.allocation import InterferenceProfile
 from remcr.channel import PowerConstants, calibrate, received_power, sample_shadows
 from remcr.geometry import sample_placement, snap_points
 from remcr.rem import estimate_links
-from remcr.scenario import ScenarioConfig, derive_stream, interference_threshold
+from remcr.scenario import ConfigError, ScenarioConfig, derive_stream, interference_threshold
 
 __all__ = [
     "TRIAL_BLOCK",
@@ -87,7 +87,10 @@ def draw_trials(cfg: ScenarioConfig, consts: PowerConstants, trials) -> TrialBat
 
     Each trial reads its "place", "shadow" and "rem" streams in the same
     order as one-trial-at-a-time drawing, so a trial's draws do not depend
-    on the block it is drawn in.
+    on the block it is drawn in.  A ConfigError if some trial's true link
+    powers and the noise power do not sum to a finite value: a link power
+    beyond the float range, or a sum that overflows, leaves its degradation
+    undefined.
     """
     trials = np.array(trials, dtype=np.int64).reshape(-1)
     if len(trials) == 0:
@@ -97,9 +100,8 @@ def draw_trials(cfg: ScenarioConfig, consts: PowerConstants, trials) -> TrialBat
         place_stream = derive_stream(cfg.master_seed, i, _PLACE_TAG)
         shadow_stream = derive_stream(cfg.master_seed, i, _SHADOW_TAG)
         rem_stream = derive_stream(cfg.master_seed, i, _REM_TAG)
-        placement = sample_placement(place_stream, cfg)
-        n = len(placement.crs)
-        crs.append(placement.crs)
+        crs.append(sample_placement(place_stream, cfg))
+        n = len(crs[-1])
         shadows.append(sample_shadows(shadow_stream, n, cfg.sigma_dB))
         fresh.append(sample_shadows(rem_stream, n, cfg.sigma_dB))
 
@@ -117,7 +119,16 @@ def draw_trials(cfg: ScenarioConfig, consts: PowerConstants, trials) -> TrialBat
     xy = np.concatenate(crs)
     sh = np.concatenate(shadows)
     # np.hypot, unlike the map distances: these bits reach the profile weights
-    true_powers = received_power(consts.cr, sh, np.hypot(xy[:, 0], xy[:, 1]), cfg.gamma_pl)
+    true_powers = links(received_power(consts.cr, sh, np.hypot(xy[:, 0], xy[:, 1]), cfg.gamma_pl))
+    with np.errstate(over="ignore"):
+        totals = true_powers.sum(axis=1) + cfg.noise_power
+    if not np.isfinite(totals).all():
+        row = int(np.argmin(np.isfinite(totals)))
+        raise ConfigError(
+            f"trial {trials[row]}: its true link powers and the noise power sum to "
+            f"{totals[row]:g} (noise_power = {cfg.noise_power:g}, cr = {consts.cr:g}); "
+            f"the degradation needs a finite sum"
+        )
     return TrialBatch(
         cfg=cfg,
         consts=consts,
@@ -127,7 +138,7 @@ def draw_trials(cfg: ScenarioConfig, consts: PowerConstants, trials) -> TrialBat
         xy=links(xy),
         shadows=links(sh),
         fresh=links(np.concatenate(fresh)),
-        true_powers=links(true_powers),
+        true_powers=true_powers,
     )
 
 
@@ -271,31 +282,21 @@ def sweep(batches, n_trials: int, points, reduce) -> list[np.ndarray]:
     return out
 
 
-def _budget(cfg: ScenarioConfig, buffer_db: float | None) -> float:
-    return interference_threshold(cfg.buffer_dB if buffer_db is None else buffer_db, cfg.noise_power)
-
-
 def trial_profile(
-    cfg: ScenarioConfig,
-    consts: PowerConstants,
-    trial_index: int,
-    buffer_db: float | None = None,
+    cfg: ScenarioConfig, consts: PowerConstants, trial_index: int
 ) -> InterferenceProfile:
-    """Admitted profile of one trial for the given (or configured) buffer."""
+    """Admitted profile of one trial for the configured buffer."""
     ev = evaluate(draw_trials(cfg, consts, [trial_index]), cfg.delta_grid, cfg.D_d)
-    return ev.profiles(_budget(cfg, buffer_db))[0]
+    return ev.profiles(interference_threshold(cfg.buffer_dB, cfg.noise_power))[0]
 
 
 def degradation_samples(
-    cfg: ScenarioConfig,
-    n_trials: int,
-    consts: PowerConstants | None = None,
-    buffer_db: float | None = None,
+    cfg: ScenarioConfig, n_trials: int, consts: PowerConstants | None = None
 ) -> np.ndarray:
     """Realized degradation (dB) over independent trials."""
     if consts is None:
         consts = calibrate(cfg)
-    budget = _budget(cfg, buffer_db)
+    budget = interference_threshold(cfg.buffer_dB, cfg.noise_power)
     return sweep(
         trial_batches(cfg, consts, n_trials), n_trials, [(cfg.delta_grid, cfg.D_d)],
         lambda ev: ev.degradation(budget),

@@ -111,14 +111,13 @@ def study_grid_tradeoff(
     dd_list=DEFAULT_DD_LIST,
     extra_buffer_list=DEFAULT_EXTRA_LIST,
     n_trials: int = 600,
-    delta_cap: int = DELTA_SEARCH_CAP,
     consts: PowerConstants | None = None,
 ) -> StudyTable:
     """Largest tolerable grid size per decorrelation distance and extra buffer.
 
     For each (D_d, extra) pair, bisects the grid size at 1 m resolution for
     the largest delta whose exceedance probability of buffer+extra stays at
-    or below 5 percent.  A result equal to delta_cap means the constraint
+    or below 5 percent.  A result equal to DELTA_SEARCH_CAP means the constraint
     never bound inside the search range.
 
     The trials are drawn once, and each (D_d, delta) the bisections visit is
@@ -141,10 +140,10 @@ def study_grid_tradeoff(
     for dd in dd_list:
         for extra in extra_buffer_list:
             level = cfg.buffer_dB + float(extra)
-            if exceed(dd, delta_cap, level) <= 0.05:
-                rows.append((float(dd), float(extra), float(delta_cap)))
+            if exceed(dd, DELTA_SEARCH_CAP, level) <= 0.05:
+                rows.append((float(dd), float(extra), float(DELTA_SEARCH_CAP)))
                 continue
-            lo, hi = 0, delta_cap  # lo satisfies the bound, hi does not
+            lo, hi = 0, DELTA_SEARCH_CAP  # lo satisfies the bound, hi does not
             while hi - lo > 1:
                 mid = (lo + hi) // 2
                 if exceed(dd, mid, level) <= 0.05:
@@ -155,7 +154,7 @@ def study_grid_tradeoff(
     return StudyTable(
         headers=("dd_m", "extra_db", "delta_star_m"),
         rows=tuple(rows),
-        summary={"n_trials": n_trials, "delta_cap_m": float(delta_cap)},
+        summary={"n_trials": n_trials, "delta_cap_m": float(DELTA_SEARCH_CAP)},
     )
 
 

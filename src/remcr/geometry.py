@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from remcr.scenario import ScenarioConfig
+from remcr.scenario import ConfigError, ScenarioConfig
 
 __all__ = [
-    "Placement",
     "snap_points",
     "sample_annulus_points",
     "sample_cr_count",
@@ -59,10 +57,18 @@ def sample_annulus_points(
 
 def cr_population(density_per_km2: float, coverage_radius_m: float) -> int:
     """Fixed number of secondary transmitters in the disc: density times
-    disc area, rounded half-up to an integer."""
+    disc area, rounded half-up to an integer.
+
+    A ConfigError if that number reaches 2**63, beyond the C long that
+    numpy's binomial draw takes."""
     if density_per_km2 < 0.0 or coverage_radius_m <= 0.0:
         raise ValueError("need density >= 0 and radius > 0")
     mean = density_per_km2 * math.pi * coverage_radius_m**2 / 1e6
+    if not mean < 2.0**63:
+        raise ConfigError(
+            f"{density_per_km2:g} transmitters per km2 in a disc of radius "
+            f"{coverage_radius_m:g} m are {mean:g}, beyond the 2**63 a draw can take"
+        )
     return int(math.floor(mean + 0.5))
 
 
@@ -85,30 +91,18 @@ def sample_cr_count(
     return int(stream.binomial(pop, activity_p))
 
 
-@dataclass(frozen=True)
-class Placement:
-    """One trial's transmitter geometry.
+def sample_placement(stream: np.random.Generator, cfg: ScenarioConfig) -> np.ndarray:
+    """Draw the active secondary transmitters: their positions as an (n, 2)
+    array, the protected receiver sitting at the origin.
 
-    pu_tx is the licensed transmitter's position, shape (2,), and crs holds
-    the active secondary transmitters as an (n, 2) array; the protected
-    receiver sits at the origin.  The positions the discretized
-    map attributes to each node depend on the grid size and are taken with
+    The licensed transmitter's position is drawn first and discarded.  The
+    admission pipeline does not use it, but drawing it keeps every secondary
+    position where the stream has always put it: the draw order (licensed
+    position, active count, secondary positions) is part of the determinism
+    contract for a given stream.  The positions the discretized map
+    attributes to each node depend on the grid size and are taken with
     snap_points where the map is read (remcr.engine.evaluate).
     """
-
-    pu_tx: np.ndarray
-    crs: np.ndarray
-
-
-def sample_placement(stream: np.random.Generator, cfg: ScenarioConfig) -> Placement:
-    """Draw the licensed transmitter and the active secondary transmitters.
-
-    Draw order (licensed position, active count, secondary positions) is part
-    of the determinism contract for a given stream.  The admission pipeline
-    does not use the licensed position, but drawing it keeps every secondary
-    position where the stream has always put it.
-    """
-    pu_tx = sample_annulus_points(stream, 1, cfg.R0, cfg.R)[0]
+    sample_annulus_points(stream, 1, cfg.R0, cfg.R)  # the licensed transmitter
     n_active = sample_cr_count(stream, cfg.cr_density, cfg.R, cfg.activity_p)
-    crs = sample_annulus_points(stream, n_active, cfg.R0, cfg.R)
-    return Placement(pu_tx=pu_tx, crs=crs)
+    return sample_annulus_points(stream, n_active, cfg.R0, cfg.R)

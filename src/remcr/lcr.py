@@ -145,42 +145,40 @@ def aggregate_acf(profile, doppler_hz: float, tau):
     return float(out) if np.isscalar(tau) else out
 
 
-def _rice_rate(fit: NcChiSqFit, slope: float, thresholds):
-    # Rice's formula pdf(T) * sqrt(slope * T) on the fitted density, in log
-    # space.  At T = 0 it takes its limit: 0 for dof > 1, +inf for dof < 1,
-    # and exp(-noncentrality/2) * sqrt(scale * slope / (2*pi)) for dof = 1.
-    from remcr import specfun
-
-    t = np.asarray(thresholds, dtype=float)
-    if not np.all(t >= 0.0):  # also rejects NaN
-        raise ValueError("thresholds must be non-negative")
-    out = np.empty_like(t)
-    pos = t > 0.0
-    x = t[pos]
-    with np.errstate(over="ignore"):
-        logpdf = specfun.ncx2_logpdf(x, fit.dof, fit.noncentrality, fit.scale)
-        out[pos] = np.exp(logpdf + 0.5 * np.log(slope * x))
-    if fit.dof == 1.0:
-        out[~pos] = math.exp(-0.5 * fit.noncentrality) * math.sqrt(fit.scale * slope / (2.0 * math.pi))
-    else:
-        out[~pos] = math.inf if fit.dof < 1.0 else 0.0
-    return float(out) if np.isscalar(thresholds) else out
-
-
 def lcr_rician(fit: NcChiSqFit, doppler_hz: float, thresholds):
     """Crossing rate of the scaled noncentral chi-square approximation.
 
-    Equals pdf(T) * sqrt(4*pi * f_D**2 * T / scale), evaluated in log space.
-    A central fit (zero noncentrality) gives the gamma-process rate, the
-    Rayleigh case.  ValueError unless doppler_hz, dof and scale are
-    positive and finite and the noncentrality is finite and non-negative.
+    Rice's formula pdf(T) * sqrt(slope * T) on the fitted density, with
+    slope = 4*pi * f_D**2 / scale, evaluated in log space.  A central fit
+    (zero noncentrality) gives the gamma-process rate, the Rayleigh case.
+    At T = 0 the rate takes its limit: 0 for dof > 1, +inf for dof < 1, and
+    exp(-noncentrality/2) * sqrt(scale * slope / (2*pi)) for dof = 1; at
+    T = inf, its limit 0.  ValueError unless doppler_hz, dof and scale are
+    positive and finite, the noncentrality is finite and non-negative, and
+    the thresholds are non-negative.
     """
+    from remcr import specfun
+
     if not (0.0 < fit.dof < math.inf and 0.0 < fit.scale < math.inf
             and 0.0 <= fit.noncentrality < math.inf):
         raise ValueError("invalid noncentral chi-square fit")
     if not 0.0 < doppler_hz < math.inf:  # also rejects NaN
         raise ValueError("doppler_hz must be positive and finite")
-    return _rice_rate(fit, 4.0 * math.pi * doppler_hz**2 / fit.scale, thresholds)
+    t = np.asarray(thresholds, dtype=float)
+    if not np.all(t >= 0.0):  # also rejects NaN
+        raise ValueError("thresholds must be non-negative")
+    slope = 4.0 * math.pi * doppler_hz**2 / fit.scale
+    out = np.zeros_like(t)  # the limit at T = inf, and at T = 0 when dof > 1
+    pos = (t > 0.0) & (t < math.inf)
+    x = t[pos]
+    with np.errstate(over="ignore"):
+        logpdf = specfun.ncx2_logpdf(x, fit.dof, fit.noncentrality, fit.scale)
+        out[pos] = np.exp(logpdf + 0.5 * np.log(slope * x))
+    if fit.dof == 1.0:
+        out[t == 0.0] = math.exp(-0.5 * fit.noncentrality) * math.sqrt(fit.scale * slope / (2.0 * math.pi))
+    elif fit.dof < 1.0:
+        out[t == 0.0] = math.inf
+    return float(out) if np.isscalar(thresholds) else out
 
 
 def exceedance_duration(crossing_rate, survival_prob):

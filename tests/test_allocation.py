@@ -29,7 +29,7 @@ def _admit(candidates):
     est = [e for _, e in candidates]
     batch = TrialBatch(
         cfg=ScenarioConfig(),
-        consts=PowerConstants(pu=1.0, cr=1.0),
+        consts=PowerConstants(cr=1.0),
         trials=np.zeros(1, dtype=np.int64),
         counts=np.array([n]),
         active=np.ones((1, n), dtype=bool),

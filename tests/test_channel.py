@@ -90,20 +90,10 @@ class TestGudmundson:
 
 class TestCalibration:
     def test_underflowed_percentile_is_a_config_error(self):
-        # exp of a 1e5 dB shadow underflows: the licensed link's 5th-percentile
+        # exp of a 1e5 dB shadow underflows: the secondary link's 5th-percentile
         # gain is 0 and no finite transmit power meets the SNR target
-        with pytest.raises(ConfigError, match="cannot calibrate the licensed link"):
+        with pytest.raises(ConfigError, match="cannot calibrate the secondary link: its 5th"):
             calibrate(ScenarioConfig(sigma_dB=1e5))
-
-    def test_protected_link_coverage_self_consistency(self, base_cfg, consts):
-        stream = np.random.default_rng(16)
-        n = 200_000
-        pts = sample_annulus_points(stream, n, base_cfg.R0, base_cfg.R)
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        x = sample_shadows(stream, n, base_cfg.sigma_dB)
-        snr = consts.pu * np.exp(x) * r**-base_cfg.gamma_pl / base_cfg.noise_power
-        frac = np.mean(snr >= 10.0**0.5)
-        assert abs(frac - 0.95) < 0.005
 
     def test_secondary_link_percentile_self_consistency(self, base_cfg):
         # larger calibration sample: the check compounds calibration noise
@@ -119,36 +109,33 @@ class TestCalibration:
 
     def test_thin_annulus_deterministic_limit(self):
         cfg = ScenarioConfig(R0=999.0, Rc=999.5, R=1000.0, sigma_dB=1e-9)
-        a = calibrate(cfg).pu
-        expected = 10.0**0.5 * cfg.noise_power * 1000.0**3.5
-        assert math.isclose(a, expected, rel_tol=0.01)
+        b = calibrate(cfg).cr
+        expected = 10.0**0.5 * cfg.noise_power * cfg.Rc**3.5
+        assert math.isclose(b, expected, rel_tol=0.01)
 
     def test_scales_with_noise_power(self, base_cfg):
         doubled = dataclasses.replace(base_cfg, noise_power=2.0)
-        a1 = calibrate(base_cfg, n_samples=50_000).pu
-        a2 = calibrate(doubled, n_samples=50_000).pu
-        assert math.isclose(a2, 2.0 * a1, rel_tol=1e-12)
+        b1 = calibrate(base_cfg, n_samples=50_000).cr
+        b2 = calibrate(doubled, n_samples=50_000).cr
+        assert math.isclose(b2, 2.0 * b1, rel_tol=1e-12)
 
     def test_power_ratio_deterministic_limit(self):
         cfg = ScenarioConfig(sigma_dB=1e-9)
-        consts = calibrate(cfg)
-        a, b = consts.pu, consts.cr
-        # 95th-percentile radii by area of each annulus fix the quantiles
-        r95_pu = math.sqrt(0.95 * (cfg.R**2 - cfg.R0**2) + cfg.R0**2)
+        b = calibrate(cfg).cr
+        # the 95th-percentile radius by area of the annulus fixes the quantile
         r95_cr = math.sqrt(0.95 * (cfg.Rc**2 - cfg.R0**2) + cfg.R0**2)
-        expected = (r95_pu / r95_cr) ** -cfg.gamma_pl
-        assert math.isclose(b / a, expected, rel_tol=0.005)
-        assert math.isclose(b / a, 10.0**-3.5, rel_tol=0.015)
+        expected = 10.0**0.5 * r95_cr**cfg.gamma_pl
+        assert math.isclose(b / cfg.noise_power, expected, rel_tol=0.005)
 
     def test_reproducible(self, base_cfg, consts):
         again = calibrate(base_cfg)
         assert again == consts
 
     def test_infinite_constants_are_a_config_error(self):
-        # the 5th-percentile gains are fine, but pu = 3.16 * 1e300 / q overflows
-        with pytest.raises(ConfigError, match=r"pu = inf and cr = inf must be finite"):
+        # the 5th-percentile gain is fine, but cr = 3.16 * 1e300 / q overflows
+        with pytest.raises(ConfigError, match=r"secondary link: cr = inf must be finite"):
             calibrate(ScenarioConfig(noise_power=1e300))
-        assert math.isfinite(calibrate(ScenarioConfig(noise_power=1e250)).pu)
+        assert math.isfinite(calibrate(ScenarioConfig(noise_power=1e250)).cr)
 
     def test_too_few_samples_rejected(self, base_cfg):
         with pytest.raises(ValueError, match="at least 1e4 samples"):
@@ -158,18 +145,12 @@ class TestCalibration:
 def _one_shot_calibrate(cfg, n):
     """The calibration formula with every draw and gain in one array each,
     and np.quantile for the percentile."""
-
-    def quantile(r_inner, r_outer, tag):
-        stream = derive_stream(cfg.master_seed, 0, tag)
-        rr = stream.uniform(r_inner * r_inner, r_outer * r_outer, size=n)
-        shadows = DB_TO_NAT * stream.normal(0.0, cfg.sigma_dB, size=n)
-        with np.errstate(over="ignore"):
-            gains = 1.0 * np.exp(shadows) * np.sqrt(rr) ** (-cfg.gamma_pl)
-        return float(np.quantile(gains, 0.05))
-
-    q_pu = quantile(cfg.R0, cfg.R, "calibrate-pu")
-    pu = 10.0**0.5 * cfg.noise_power / q_pu
-    return pu, pu * q_pu / quantile(cfg.R0, cfg.Rc, "calibrate-cr")
+    stream = derive_stream(cfg.master_seed, 0, "calibrate-cr")
+    rr = stream.uniform(cfg.R0 * cfg.R0, cfg.Rc * cfg.Rc, size=n)
+    shadows = DB_TO_NAT * stream.normal(0.0, cfg.sigma_dB, size=n)
+    with np.errstate(over="ignore"):
+        gains = 1.0 * np.exp(shadows) * np.sqrt(rr) ** (-cfg.gamma_pl)
+    return 10.0**0.5 * cfg.noise_power / float(np.quantile(gains, 0.05))
 
 
 _CAL_CONFIGS = [
@@ -192,8 +173,7 @@ class TestCalibrationMatchesOneShot:
     def test_constants_bit_identical(self, cfg, n):
         # 50 000 and 200 001 are not multiples of the shadowing chunk
         got = calibrate(cfg, n_samples=n)
-        pu, cr = _one_shot_calibrate(cfg, n)
-        assert (got.pu.hex(), got.cr.hex()) == (pu.hex(), cr.hex())
+        assert got.cr.hex() == _one_shot_calibrate(cfg, n).hex()
 
     def test_traced_peak_is_one_sample_array(self, base_cfg):
         calibrate(base_cfg)  # warm: first-use allocations are not scratch

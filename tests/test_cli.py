@@ -1,7 +1,9 @@
 import csv
 import hashlib
+import inspect
 import io
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -9,8 +11,9 @@ import warnings
 import numpy as np
 import pytest
 
-from remcr import __version__
+from remcr import __version__, cli
 from remcr.cli import _fmt_cell, run
+from remcr.experiments import StudyTable
 
 
 def _capture(argv, capsys):
@@ -96,7 +99,7 @@ class TestExitCodes:
         cfg.write_text("sigma_dB = 1e5\n")
         code, _, err = _capture(argv + ["--config", str(cfg)], capsys)
         assert code == 2
-        assert err.startswith("config error: cannot calibrate the licensed link")
+        assert err.startswith("config error: cannot calibrate the secondary link: its 5th")
 
     @pytest.mark.parametrize(
         "line, argv",
@@ -144,7 +147,7 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("study", ["lcr", "aed"])
-    @pytest.mark.parametrize("noise_power", ["1e-300", "1e170"])
+    @pytest.mark.parametrize("noise_power", ["1e-300", "1e170", "1e297"])
     def test_moment_sum_out_of_range(self, tmp_path, capsys, study, noise_power):
         cfg = tmp_path / "noise.cfg"
         cfg.write_text(f"noise_power = {noise_power}\n")
@@ -164,7 +167,46 @@ class TestExitCodes:
         code, out, err = _capture(argv + ["--config", str(cfg)], capsys)
         assert code == 2
         assert argv == ["validate"] or out == ""  # validate reports its checks as it goes
-        assert err.startswith("config error: cannot calibrate the transmit powers: pu = inf")
+        assert err.startswith("config error: cannot calibrate the secondary link: cr = inf")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "lines, argv",
+        [
+            (["noise_power = 1e298"], ["cdf", "--trials", "30"]),
+            (["noise_power = 1e298"], ["backoff", "--trials", "30"]),
+            (["noise_power = 1e298"], ["grid-tradeoff", "--trials", "30"]),
+            (["noise_power = 1e298"], ["lcr", "--trials", "30"]),
+            (["noise_power = 1e298"], ["aed", "--trials", "30"]),
+            (["noise_power = 1e298"], ["validate"]),
+            (["R = 100", "Rc = 100", "noise_power = 1e298"], ["cdf", "--trials", "200"]),
+            (["R = 100", "Rc = 100", "noise_power = 1e298"], ["backoff", "--trials", "200"]),
+        ],
+        ids=["cdf", "backoff", "grid-tradeoff", "lcr", "aed", "validate",
+             "small-disc-cdf", "small-disc-backoff"],
+    )
+    def test_link_power_overflow(self, tmp_path, capsys, lines, argv):
+        # cr is finite, but some true link powers, or their sum with the
+        # noise power, are not
+        cfg = tmp_path / "loud.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow must not pass as a warning
+            code, out, err = _capture(argv + ["--config", str(cfg)], capsys)
+        assert code == 2
+        assert argv == ["validate"] or out == ""
+        assert re.match(r"config error: trial \d+: its true link powers and the noise power sum to inf", err)
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+
+    def test_population_overflow_config(self, tmp_path, capsys):
+        # calibration reads Rc alone, so it passes; the placement's
+        # population does not fit a binomial draw
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("R = 1e100\nRc = 100\n")
+        code, out, err = _capture(["cdf", "--trials", "3", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: 1000 transmitters per km2 in a disc of radius 1e+100 m")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("study", ["lcr", "aed"])
@@ -201,6 +243,22 @@ class TestExitCodes:
 
     def test_missing_subcommand(self, capsys):
         assert _capture([], capsys)[0] == 2
+
+    @pytest.mark.parametrize("command", ["cdf", "grid-tradeoff", "backoff", "lcr", "aed"])
+    def test_trials_passed_only_when_given(self, monkeypatch, capsys, command):
+        # without --trials the study runs at its own default trial count
+        help_text, study, keyword = cli._STUDIES[command]
+        assert keyword in inspect.signature(study).parameters
+        calls = []
+
+        def fake(cfg, **kwargs):
+            calls.append(kwargs)
+            return StudyTable(headers=("x",), rows=(), summary={})
+
+        monkeypatch.setitem(cli._STUDIES, command, (help_text, fake, keyword))
+        assert _capture([command], capsys)[:2] == (0, "x\n")
+        assert _capture([command, "--trials", "3"], capsys)[0] == 0
+        assert calls == [{}, {keyword: 3}]
 
     def test_bad_trials(self, capsys):
         code, _, err = _capture(["cdf", "--trials", "0"], capsys)

@@ -19,7 +19,7 @@ from remcr.engine import (
     trial_profile,
 )
 from remcr.geometry import sample_placement, snap_points
-from remcr.scenario import ScenarioConfig, derive_stream, interference_threshold
+from remcr.scenario import ConfigError, ScenarioConfig, derive_stream, interference_threshold
 
 
 def _one_trial(cfg, consts, trial_index):
@@ -31,8 +31,7 @@ def _one_trial(cfg, consts, trial_index):
     place = derive_stream(cfg.master_seed, trial_index, "place")
     shadow = derive_stream(cfg.master_seed, trial_index, "shadow")
     rem = derive_stream(cfg.master_seed, trial_index, "rem")
-    placement = sample_placement(place, cfg)
-    crs = placement.crs
+    crs = sample_placement(place, cfg)
     n = len(crs)
     shadows = DB_TO_NAT * shadow.normal(0.0, cfg.sigma_dB, size=n) if n else np.empty(0)
     true = consts.cr * np.exp(shadows) * np.hypot(crs[:, 0], crs[:, 1]) ** (-cfg.gamma_pl)
@@ -185,7 +184,7 @@ class TestTrialProfile:
                 assert np.sum(est[: k + 1]) > budget
 
     def test_buffer_override(self, base_cfg, consts):
-        small = trial_profile(base_cfg, consts, 0, buffer_db=0.5)
+        small = trial_profile(dataclasses.replace(base_cfg, buffer_dB=0.5), consts, 0)
         full = trial_profile(base_cfg, consts, 0)
         assert len(small) <= len(full)
         assert np.sum(small.est_weights) <= interference_threshold(0.5, base_cfg.noise_power)
@@ -297,7 +296,7 @@ def _tied_block(counts, seed, n_values, n_cells):
     cfg = ScenarioConfig()
     batch = TrialBatch(
         cfg=cfg,
-        consts=PowerConstants(pu=1.0, cr=1.0),
+        consts=PowerConstants(cr=1.0),
         trials=np.arange(len(counts)),
         counts=counts,
         active=active,
@@ -309,6 +308,28 @@ def _tied_block(counts, seed, n_values, n_cells):
     grid = xy - 0.5  # the receiver's cell center is (0.5, 0.5)
     est = np.exp(fresh) * np.sqrt(grid[..., 0] ** 2 + grid[..., 1] ** 2) ** -cfg.gamma_pl
     return batch, np.where(active, est, math.inf)
+
+
+@pytest.mark.filterwarnings("error")
+class TestLinkPowerOverflow:
+    def test_overflowing_estimate_is_never_admitted(self):
+        # a fresh value of 800 overflows exp: that link's estimate is inf,
+        # while its true power stays finite
+        batch, _ = _tied_block([3], seed=5, n_values=3, n_cells=3)
+        fresh = batch.fresh.copy()
+        fresh[0, 1] = 800.0
+        batch = dataclasses.replace(batch, fresh=fresh)
+        ev = evaluate(batch, 1.0, 1e-6)
+        assert ev.est_sorted[0].tolist()[-1] == math.inf
+        assert ev.true_sorted[0, -1] == batch.true_powers[0, 1]
+        assert ev.admitted(1e308).tolist() == [2]
+        weights = ev.profiles(1e308)[0].weights
+        assert batch.true_powers[0, 1] not in weights and len(weights) == 2
+
+    def test_non_finite_link_power_sum_is_a_config_error(self, base_cfg):
+        # cr * exp(X) overflows for a shadowing value of a few sigma
+        with pytest.raises(ConfigError, match=r"trial \d+: its true link powers and the noise power sum to inf"):
+            draw_trials(base_cfg, PowerConstants(cr=1e307), range(TRIAL_BLOCK))
 
 
 class TestAdmissionOrder:

@@ -10,7 +10,7 @@ from remcr.geometry import (
     sample_placement,
     snap_points,
 )
-from remcr.scenario import ScenarioConfig
+from remcr.scenario import ConfigError, ScenarioConfig
 
 
 def _snap_one(v, delta):
@@ -64,22 +64,19 @@ class TestAnnulusSampling:
         assert abs(np.mean(r) - expected) < 0.01
 
     def test_licensed_transmitter_draw(self):
-        # the licensed position is a one-point draw of the vector sampler; it
-        # must equal the two-scalar-uniform draw it replaced and leave the
-        # stream where that draw left it (sample_placement's draw order)
+        # the discarded licensed position is a one-point draw of the vector
+        # sampler; it must consume what the two-scalar-uniform draw it
+        # replaced did, so the secondary positions and the stream end where
+        # that draw left them (sample_placement's draw order)
         cfg = ScenarioConfig()
         for seed in range(50):
             stream = np.random.default_rng(seed)
-            rr = stream.uniform(cfg.R0 * cfg.R0, cfg.R * cfg.R)
-            ang = stream.uniform(0.0, 2.0 * math.pi)
-            r = math.sqrt(rr)
+            stream.uniform(cfg.R0 * cfg.R0, cfg.R * cfg.R)
+            stream.uniform(0.0, 2.0 * math.pi)
             n = sample_cr_count(stream, cfg.cr_density, cfg.R, cfg.activity_p)
             crs = sample_annulus_points(stream, n, cfg.R0, cfg.R)
             drawn = np.random.default_rng(seed)
-            placement = sample_placement(drawn, cfg)
-            assert placement.pu_tx.tolist() == [r * math.cos(ang), r * math.sin(ang)]
-            assert cfg.R0 <= math.hypot(*placement.pu_tx) <= cfg.R
-            assert np.array_equal(placement.crs, crs)
+            assert np.array_equal(sample_placement(drawn, cfg), crs)
             assert drawn.bit_generator.state == stream.bit_generator.state
 
 
@@ -100,6 +97,13 @@ class TestPopulation:
         stream = np.random.default_rng(9)
         counts = [sample_cr_count(stream, 1000.0, 1000.0, 0.1) for _ in range(10_000)]
         assert abs(np.mean(counts) - 314.2) < 3.0
+
+    def test_population_beyond_a_binomial_draw_is_a_config_error(self):
+        # pi * R**2 / 1e3 transmitters: about 7.9e18 at R = 5e10, inf at 1e154
+        assert cr_population(1000.0, 5e10) == 7853981633974482944
+        for radius in (6e10, 1e100, 1e154):
+            with pytest.raises(ConfigError, match="beyond the 2\\*\\*63 a draw can take"):
+                cr_population(1000.0, radius)
 
     def test_invalid_inputs(self):
         stream = np.random.default_rng(10)

@@ -251,6 +251,16 @@ class TestLcrRician:
         else:
             assert at_zero == 0.0 and near < 1e-9
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("noncentrality", [0.0, 2.0], ids=["central", "noncentral"])
+    def test_infinite_threshold_is_the_limit(self, noncentrality):
+        fit = NcChiSqFit(dof=3.0, noncentrality=noncentrality, scale=3.0)
+        at_inf, finite = lcr_rician(fit, 25.0, np.array([math.inf, 1.0]))
+        assert at_inf == 0.0 and finite > 0.0
+        assert lcr_rician(fit, 25.0, math.inf) == 0.0
+        curve = rician_curve([0.3, 0.5], 3.0, 25.0, thresholds=[math.inf])
+        assert curve.lcr.tolist() == [0.0] and np.isnan(curve.aed).all()
+
 
 def _gamma_moments(w):
     # (shape, rate) of the gamma law with mean sum(w) and variance sum(w**2)
