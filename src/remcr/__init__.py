@@ -7,7 +7,7 @@ exceedance-duration curves for the admitted aggregate interference.
 """
 
 from remcr.scenario import ScenarioConfig, ConfigError, interference_threshold, derive_stream
-from remcr.allocation import InterferenceProfile, degradation_db, select_extreme_profiles
+from remcr.allocation import InterferenceProfile, select_extreme_profiles
 from remcr.lcr import (
     NcChiSqFit,
     FitFailureError,
@@ -23,7 +23,6 @@ __all__ = [
     "interference_threshold",
     "derive_stream",
     "InterferenceProfile",
-    "degradation_db",
     "select_extreme_profiles",
     "NcChiSqFit",
     "FitFailureError",

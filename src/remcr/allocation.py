@@ -26,7 +26,6 @@ __all__ = [
     "TooFewProfilesError",
     "profile_weights",
     "power_sum",
-    "degradation_db",
     "select_extreme_profiles",
 ]
 
@@ -51,7 +50,8 @@ class InterferenceProfile:
 
     weights      true mean interference of each admitted transmitter
     est_weights  the estimates the admission decision was based on, in the
-                 ascending order the greedy rule visited them
+                 ascending order the greedy rule visited them; an estimate
+                 that underflowed is 0
     """
 
     weights: np.ndarray
@@ -64,8 +64,8 @@ class InterferenceProfile:
         object.__setattr__(self, "est_weights", e)
         if w.shape != e.shape:
             raise ValueError("weights and est_weights must have equal length")
-        if (w <= 0.0).any() or (e <= 0.0).any():
-            raise ValueError("interference weights must be positive")
+        if (w <= 0.0).any() or (e < 0.0).any():
+            raise ValueError("interference weights must be positive, their estimates non-negative")
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -92,15 +92,6 @@ def power_sum(w: np.ndarray, k: int) -> float:
             f"{np.array2string(w, precision=6)}"
         )
     return total
-
-
-def degradation_db(profile: InterferenceProfile, noise_power: float) -> float:
-    """Realized SNR degradation of the protected receiver in dB:
-    10*log10((true interference sum + noise) / noise)."""
-    if noise_power <= 0.0:
-        raise ValueError("noise_power must be positive")
-    total = float(np.sum(profile.weights))
-    return 10.0 * math.log10((total + noise_power) / noise_power)
 
 
 def select_extreme_profiles(

@@ -2,24 +2,23 @@
 
 Mean received power over a link of length r is  C * exp(X) * r**(-gamma_pl),
 where C is a transmit-power constant and X = ln(10)/10 * N(0, sigma_dB**2) is
-the shadowing term in the natural-log domain.  The secondary transmit power
-is calibrated so a secondary link meets a 5 dB SNR target at the 95th
-percentile of its distribution, which fixes the interference scale of every
-study.  The licensed link needs no constant: the interference budget does not
-involve its power (see scenario.interference_threshold).
+the shadowing term in the natural-log domain.  calibrate returns the one
+constant of the model, the float cr of the secondary transmitters: a
+secondary link then meets a 5 dB SNR target at the 95th percentile of its
+distribution, which fixes the interference scale of every study.  The
+licensed link needs no constant: the interference budget does not involve
+its power (see scenario.interference_threshold).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from remcr.scenario import DB_TO_NAT, ConfigError, ScenarioConfig, derive_stream
 
 __all__ = [
-    "PowerConstants",
     "received_power",
     "sample_shadows",
     "gudmundson_correlation",
@@ -34,23 +33,18 @@ _CAL_CR_TAG = "calibrate-cr"
 _CHUNK = 2**14  # shadowing values drawn at a time; bounds calibration's scratch
 
 
-@dataclass(frozen=True)
-class PowerConstants:
-    """Calibrated transmit-power constant of the secondary transmitters."""
-
-    cr: float
-
-
 def received_power(power_const, shadow_log, distance_m, pathloss_exp: float):
     """Mean received power power_const * exp(shadow_log) * distance**(-exp).
 
     Array in, array out: power_const, shadow_log and distance_m broadcast
-    against each other.  A power beyond the float range is inf, with no
-    floating-point warning; the callers decide what an infinite power means."""
+    against each other.  A power beyond the float range is inf, and one
+    whose shadowing factor overflows while its path gain underflows to 0 is
+    NaN, both with no floating-point warning; the callers decide what an
+    infinite or undefined power means."""
     d = np.asarray(distance_m, dtype=float)
     if (d <= 0.0).any():
         raise ValueError("received_power requires positive distance")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return power_const * np.exp(shadow_log) * d ** (-pathloss_exp)
 
 
@@ -100,7 +94,8 @@ def _link_quantile(cfg: ScenarioConfig, n_samples: int) -> float:
 
     A ConfigError if that percentile is not finite and positive: the
     transmit power that meets the SNR target would then be infinite or
-    undefined (sigma_dB = 1e5 underflows the percentile to 0)."""
+    undefined (sigma_dB = 1e5 underflows the percentile to 0; an undefined
+    gain, inf * 0, makes it NaN)."""
     stream = derive_stream(cfg.master_seed, 0, _CAL_CR_TAG)
     gains = stream.uniform(cfg.R0 * cfg.R0, cfg.Rc * cfg.Rc, size=n_samples)
     np.sqrt(gains, out=gains)
@@ -137,9 +132,9 @@ def _percentile(values: np.ndarray, q: float) -> float:
     return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
 
 
-def calibrate(cfg: ScenarioConfig, n_samples: int = 200_000) -> PowerConstants:
-    """Calibrate the secondary transmit-power constant for a scenario from
-    n_samples >= 1e4 draws of a secondary link.
+def calibrate(cfg: ScenarioConfig, n_samples: int = 200_000) -> float:
+    """The secondary transmit-power constant cr of a scenario, calibrated
+    from n_samples >= 1e4 draws of a secondary link.
 
     The constant is chosen so a secondary link whose distance spans the
     secondary cell (annulus [R0, Rc]) has an SNR of at least 5 dB with
@@ -148,12 +143,10 @@ def calibrate(cfg: ScenarioConfig, n_samples: int = 200_000) -> PowerConstants:
         cr = SNR_TARGET_LINEAR * noise_power / quantile(secondary link);
     with shadowing switched off it approaches
     SNR_TARGET_LINEAR * noise_power * r95**gamma_pl, r95 being the radius
-    that holds 95 % of the annulus area.
+    that holds 95 % of the annulus area (see _link_quantile for the draw).
 
-    The quantile is numpy's type-7 percentile of the link gains, held in one
-    n_samples array and drawn in chunks that keep the stream order of one
-    draw (see _link_quantile).  A ConfigError if the constant is not finite
-    and positive (noise_power = 1e300 overflows it).
+    A ConfigError if the constant is not finite and positive
+    (noise_power = 1e300 overflows it).
     """
     if n_samples < 10_000:
         raise ValueError("calibration needs at least 1e4 samples")
@@ -163,4 +156,4 @@ def calibrate(cfg: ScenarioConfig, n_samples: int = 200_000) -> PowerConstants:
             f"cannot calibrate the secondary link: cr = {cr:g} must be finite and "
             f"positive (noise_power = {cfg.noise_power:g})"
         )
-    return PowerConstants(cr=cr)
+    return cr

@@ -119,19 +119,13 @@ def _run_validate(cfg: ScenarioConfig) -> int:
     snapped = snap_points([37.0, -12.0], 50.0)
     report("grid-snap", snapped.tolist() == [25.0, -25.0], f"got {snapped}")
 
-    consts = calibrate(cfg, n_samples=50_000)
-    est_ok = True
-    true_ok = True
+    cr = calibrate(cfg, n_samples=50_000)
     perfect = dataclasses.replace(cfg, delta_grid=0.0)
-    for i in range(30):
-        prof = trial_profile(cfg, consts, i)
-        if float(np.sum(prof.est_weights)) > budget * (1.0 + 1e-9):
-            est_ok = False
-        pprof = trial_profile(perfect, consts, i)
-        if float(np.sum(pprof.weights)) > budget * (1.0 + 1e-9):
-            true_ok = False
-    report("admission-respects-estimated-budget", est_ok)
-    report("perfect-map-admission-respects-true-budget", true_ok)
+    cap = budget * (1.0 + 1e-9)
+    report("admission-respects-estimated-budget",
+           all(float(np.sum(trial_profile(cfg, cr, i).est_weights)) <= cap for i in range(30)))
+    report("perfect-map-admission-respects-true-budget",
+           all(float(np.sum(trial_profile(perfect, cr, i).weights)) <= cap for i in range(30)))
 
     try:
         fit = lcrmod.fit_ncx2([1.0], 10.0)
@@ -160,8 +154,8 @@ def _run_validate(cfg: ScenarioConfig) -> int:
     ident = np.nanmax(np.abs(counted.rates * counted.aeds - counted.fractions))
     report("crossing-identity-rate-aed-fraction", bool(ident <= 1e-12), f"dev {ident:g}")
 
-    a = exp.study_cdf(cfg, grid_sizes=(25.0,), n_trials=40, consts=consts)
-    b = exp.study_cdf(cfg, grid_sizes=(25.0,), n_trials=40, consts=consts)
+    a = exp.study_cdf(cfg, grid_sizes=(25.0,), n_trials=40, consts=cr)
+    b = exp.study_cdf(cfg, grid_sizes=(25.0,), n_trials=40, consts=cr)
     report("study-determinism", a == b)
 
     return 0 if failures == 0 else 1

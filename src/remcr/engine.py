@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from remcr.allocation import InterferenceProfile
-from remcr.channel import PowerConstants, calibrate, received_power, sample_shadows
+from remcr.channel import calibrate, received_power, sample_shadows
 from remcr.geometry import sample_placement, snap_points
 from remcr.rem import estimate_links
 from remcr.scenario import ConfigError, ScenarioConfig, derive_stream, interference_threshold
@@ -62,6 +62,7 @@ class TrialBatch:
     transmitter, (n_trials, max_active).  The licensed transmitter has no
     column: the interference budget does not involve its link.
 
+    cr           the calibrated secondary transmit-power constant
     xy           positions, (n_trials, max_active, 2)
     shadows      true shadowing in the natural-log domain
     fresh        the fresh shadowing draws the map estimate mixes in
@@ -69,7 +70,7 @@ class TrialBatch:
     """
 
     cfg: ScenarioConfig
-    consts: PowerConstants
+    cr: float
     trials: np.ndarray
     counts: np.ndarray
     active: np.ndarray
@@ -82,30 +83,30 @@ class TrialBatch:
         return len(self.trials)
 
 
-def draw_trials(cfg: ScenarioConfig, consts: PowerConstants, trials) -> TrialBatch:
+def draw_trials(cfg: ScenarioConfig, cr: float, trials) -> TrialBatch:
     """Draw the given trials: placement, true shadowing and fresh map draws.
 
     Each trial reads its "place", "shadow" and "rem" streams in the same
     order as one-trial-at-a-time drawing, so a trial's draws do not depend
-    on the block it is drawn in.  A ConfigError if some trial's true link
-    powers and the noise power do not sum to a finite value: a link power
-    beyond the float range, or a sum that overflows, leaves its degradation
-    undefined.
+    on the block it is drawn in; cr is the constant calibrate returns.  A
+    ConfigError if some trial's true link powers and the noise power do not
+    sum to a finite value: a link power beyond the float range, or a sum
+    that overflows, leaves its degradation undefined.
     """
     trials = np.array(trials, dtype=np.int64).reshape(-1)
     if len(trials) == 0:
         raise ValueError("need at least one trial")
-    crs, shadows, fresh = [], [], []
+    positions, shadows, fresh = [], [], []
     for i in trials.tolist():
         place_stream = derive_stream(cfg.master_seed, i, _PLACE_TAG)
         shadow_stream = derive_stream(cfg.master_seed, i, _SHADOW_TAG)
         rem_stream = derive_stream(cfg.master_seed, i, _REM_TAG)
-        crs.append(sample_placement(place_stream, cfg))
-        n = len(crs[-1])
+        positions.append(sample_placement(place_stream, cfg))
+        n = len(positions[-1])
         shadows.append(sample_shadows(shadow_stream, n, cfg.sigma_dB))
         fresh.append(sample_shadows(rem_stream, n, cfg.sigma_dB))
 
-    counts = np.array([len(xy) for xy in crs], dtype=np.int64)
+    counts = np.array([len(xy) for xy in positions], dtype=np.int64)
     active = np.arange(counts.max(initial=0)) < counts[:, None]
 
     def links(values):
@@ -116,22 +117,22 @@ def draw_trials(cfg: ScenarioConfig, consts: PowerConstants, trials) -> TrialBat
         padded[active] = values
         return padded
 
-    xy = np.concatenate(crs)
+    xy = np.concatenate(positions)
     sh = np.concatenate(shadows)
     # np.hypot, unlike the map distances: these bits reach the profile weights
-    true_powers = links(received_power(consts.cr, sh, np.hypot(xy[:, 0], xy[:, 1]), cfg.gamma_pl))
+    true_powers = links(received_power(cr, sh, np.hypot(xy[:, 0], xy[:, 1]), cfg.gamma_pl))
     with np.errstate(over="ignore"):
         totals = true_powers.sum(axis=1) + cfg.noise_power
     if not np.isfinite(totals).all():
         row = int(np.argmin(np.isfinite(totals)))
         raise ConfigError(
             f"trial {trials[row]}: its true link powers and the noise power sum to "
-            f"{totals[row]:g} (noise_power = {cfg.noise_power:g}, cr = {consts.cr:g}); "
+            f"{totals[row]:g} (noise_power = {cfg.noise_power:g}, cr = {cr:g}); "
             f"the degradation needs a finite sum"
         )
     return TrialBatch(
         cfg=cfg,
-        consts=consts,
+        cr=cr,
         trials=trials,
         counts=counts,
         active=active,
@@ -142,13 +143,13 @@ def draw_trials(cfg: ScenarioConfig, consts: PowerConstants, trials) -> TrialBat
     )
 
 
-def trial_batches(cfg: ScenarioConfig, consts: PowerConstants, n_trials: int):
+def trial_batches(cfg: ScenarioConfig, cr: float, n_trials: int):
     """Draws of trials 0 .. n_trials-1, one TrialBatch per TRIAL_BLOCK trials.
 
     A generator: a block is drawn only when the previous one is done with.
     """
     for lo in range(0, n_trials, TRIAL_BLOCK):
-        yield draw_trials(cfg, consts, range(lo, min(lo + TRIAL_BLOCK, n_trials)))
+        yield draw_trials(cfg, cr, range(lo, min(lo + TRIAL_BLOCK, n_trials)))
 
 
 @dataclass(frozen=True)
@@ -202,15 +203,15 @@ class Evaluation:
 
     def profiles(self, budget: float) -> list[InterferenceProfile]:
         """Admitted profile of every trial for the budget: the true and
-        estimated powers of its admitted secondary links.  The profiles own
-        their weights, so keeping them does not keep the block's arrays."""
-        return [
-            InterferenceProfile(
-                weights=self.true_sorted[row, :k].copy(),
-                est_weights=self.est_sorted[row, :k].copy(),
-            )
+        estimated powers of its admitted secondary links, less those whose
+        true power underflowed to 0, which add nothing to the aggregate.
+        The profiles own their weights, so keeping them does not keep the
+        block's arrays."""
+        rows = [
+            (self.true_sorted[row, :k], self.est_sorted[row, :k])
             for row, k in enumerate(self.admitted(budget).tolist())
         ]
+        return [InterferenceProfile(weights=w[w > 0.0], est_weights=e[w > 0.0]) for w, e in rows]
 
 
 def evaluate(batch: TrialBatch, delta: float, D_d: float) -> Evaluation:
@@ -236,7 +237,7 @@ def _evaluations(batch: TrialBatch, delta: float, dds):
     """
     cfg = batch.cfg
     est, _, _, clamped = estimate_links(
-        batch.fresh, batch.consts.cr, cfg.gamma_pl, batch.shadows, batch.xy,
+        batch.fresh, batch.cr, cfg.gamma_pl, batch.shadows, batch.xy,
         snap_points(batch.xy, delta), _RECEIVER, snap_points(_RECEIVER, delta),
         np.array(dds, dtype=float)[:, None, None], cfg.R0,
     )
@@ -282,22 +283,20 @@ def sweep(batches, n_trials: int, points, reduce) -> list[np.ndarray]:
     return out
 
 
-def trial_profile(
-    cfg: ScenarioConfig, consts: PowerConstants, trial_index: int
-) -> InterferenceProfile:
+def trial_profile(cfg: ScenarioConfig, cr: float, trial_index: int) -> InterferenceProfile:
     """Admitted profile of one trial for the configured buffer."""
-    ev = evaluate(draw_trials(cfg, consts, [trial_index]), cfg.delta_grid, cfg.D_d)
+    ev = evaluate(draw_trials(cfg, cr, [trial_index]), cfg.delta_grid, cfg.D_d)
     return ev.profiles(interference_threshold(cfg.buffer_dB, cfg.noise_power))[0]
 
 
 def degradation_samples(
-    cfg: ScenarioConfig, n_trials: int, consts: PowerConstants | None = None
+    cfg: ScenarioConfig, n_trials: int, cr: float | None = None
 ) -> np.ndarray:
-    """Realized degradation (dB) over independent trials."""
-    if consts is None:
-        consts = calibrate(cfg)
+    """Realized degradation (dB) over independent trials; cr is calibrated
+    when not given."""
+    cr = calibrate(cfg) if cr is None else cr
     budget = interference_threshold(cfg.buffer_dB, cfg.noise_power)
     return sweep(
-        trial_batches(cfg, consts, n_trials), n_trials, [(cfg.delta_grid, cfg.D_d)],
+        trial_batches(cfg, cr, n_trials), n_trials, [(cfg.delta_grid, cfg.D_d)],
         lambda ev: ev.degradation(budget),
     )[0]

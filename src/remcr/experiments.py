@@ -5,7 +5,8 @@ Every study is a pure function of its configuration: all randomness comes
 from streams derived off cfg.master_seed, so rerunning a study with the same
 inputs reproduces the same table, row for row.  Results are returned as
 StudyTable records carrying the column names used by the CLI serializers plus
-a summary dict of scalar findings.
+a summary dict of scalar findings.  Each study's `consts` keyword is the
+float cr that channel.calibrate returns; None calibrates it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from remcr import lcr as lcrmod
 from remcr.allocation import TooFewProfilesError, select_extreme_profiles
-from remcr.channel import PowerConstants, calibrate
+from remcr.channel import calibrate
 from remcr.engine import evaluate, sweep, trial_batches
 from remcr.fadingsim import EmpiricalCurve, count_crossings, merge_counted, generate_fading
 from remcr.scenario import ConfigError, ScenarioConfig, derive_stream, interference_threshold
@@ -67,7 +68,7 @@ def study_cdf(
     cfg: ScenarioConfig,
     grid_sizes=DEFAULT_GRID_SIZES,
     n_trials: int = 2000,
-    consts: PowerConstants | None = None,
+    consts: float | None = None,
 ) -> StudyTable:
     """Empirical degradation CDF per map grid size.
 
@@ -75,11 +76,10 @@ def study_cdf(
     0.05 dB threshold grid.  The summary carries the exceedance probabilities
     of the buffer and of the 3 dB level for each grid size.
     """
-    if consts is None:
-        consts = calibrate(cfg)
+    cr = calibrate(cfg) if consts is None else consts
     budget = interference_threshold(cfg.buffer_dB, cfg.noise_power)
     per_delta = sweep(
-        trial_batches(cfg, consts, n_trials), n_trials,
+        trial_batches(cfg, cr, n_trials), n_trials,
         [(delta, cfg.D_d) for delta in grid_sizes], lambda ev: ev.degradation(budget),
     )
     rows: list[tuple] = []
@@ -111,7 +111,7 @@ def study_grid_tradeoff(
     dd_list=DEFAULT_DD_LIST,
     extra_buffer_list=DEFAULT_EXTRA_LIST,
     n_trials: int = 600,
-    consts: PowerConstants | None = None,
+    consts: float | None = None,
 ) -> StudyTable:
     """Largest tolerable grid size per decorrelation distance and extra buffer.
 
@@ -123,10 +123,9 @@ def study_grid_tradeoff(
     The trials are drawn once, and each (D_d, delta) the bisections visit is
     evaluated once; the extra-buffer levels share those samples.
     """
-    if consts is None:
-        consts = calibrate(cfg)
+    cr = calibrate(cfg) if consts is None else consts
     budget = interference_threshold(cfg.buffer_dB, cfg.noise_power)
-    batches = list(trial_batches(cfg, consts, n_trials))
+    batches = list(trial_batches(cfg, cr, n_trials))
     samples: dict[tuple[float, int], np.ndarray] = {}
 
     def exceed(dd: float, delta: int, level_db: float) -> float:
@@ -163,7 +162,7 @@ def study_backoff(
     dd_list=DEFAULT_DD_LIST,
     delta_list=DEFAULT_BACKOFF_DELTAS,
     n_trials: int = 2000,
-    consts: PowerConstants | None = None,
+    consts: float | None = None,
 ) -> StudyTable:
     """Reduced admission buffer keeping the realized buffer 99 percent safe.
 
@@ -174,14 +173,13 @@ def study_backoff(
     the grid reproduces the bisection limit exactly.  The trials are drawn
     once for all (D_d, delta) pairs.
     """
-    if consts is None:
-        consts = calibrate(cfg)
+    cr = calibrate(cfg) if consts is None else consts
     grid_b = np.round(np.arange(0.0, cfg.buffer_dB + 1e-9, 0.01), 10)
     budgets = cfg.noise_power * (10.0 ** (grid_b / 10.0) - 1.0)
     true_cap = interference_threshold(cfg.buffer_dB, cfg.noise_power)
     pairs = [(float(dd), float(delta)) for dd in dd_list for delta in delta_list]
     per_pair = sweep(
-        trial_batches(cfg, consts, n_trials), n_trials,
+        trial_batches(cfg, cr, n_trials), n_trials,
         [(delta, dd) for dd, delta in pairs], lambda ev: ev.critical_budgets(true_cap),
     )
     rows: list[tuple] = []
@@ -219,17 +217,16 @@ def _lcr_aed_tables(
     cfg: ScenarioConfig,
     n_profile_trials: int,
     mc_runs: int,
-    consts: PowerConstants | None,
+    consts: float | None,
 ) -> tuple[StudyTable, StudyTable]:
     """Shared pipeline behind study_lcr and study_aed."""
-    if consts is None:
-        consts = calibrate(cfg)
+    cr = calibrate(cfg) if consts is None else consts
     budget = interference_threshold(cfg.buffer_dB, cfg.noise_power)
     # a generator: the selection keeps only its two extremes, so the profile
     # stage holds one block's profiles at a time
     profiles = (
         prof
-        for batch in trial_batches(cfg, consts, n_profile_trials)
+        for batch in trial_batches(cfg, cr, n_profile_trials)
         for prof in evaluate(batch, cfg.delta_grid, cfg.D_d).profiles(budget)
     )
     try:
@@ -272,46 +269,22 @@ def _lcr_aed_tables(
     }
     for fading, kf, pname, prof in combos:
         analytic = analytic_curves[(fading, pname)]
-        mc = _mc_crossing_curve(
-            cfg, prof, kf, thr_lin, mc_runs, f"mc-{fading}-{pname}"
-        )
-        for j in range(len(thr_db)):
-            lcr_rows.append(
-                (
-                    fading,
-                    pname,
-                    float(thr_db[j]),
-                    float(analytic.lcr[j] / cfg.f_D),
-                    float(mc.rates[j] / cfg.f_D),
-                )
-            )
-            aed_rows.append(
-                (
-                    fading,
-                    pname,
-                    float(thr_db[j]),
-                    float(analytic.aed[j]),
-                    float(mc.aeds[j]),
-                )
-            )
-    lcr_table = StudyTable(
-        headers=("fading", "profile", "threshold_db", "lcr_analytic_norm", "lcr_mc_norm"),
-        rows=tuple(lcr_rows),
-        summary=summary,
-    )
-    aed_table = StudyTable(
-        headers=("fading", "profile", "threshold_db", "aed_analytic_s", "aed_mc_s"),
-        rows=tuple(aed_rows),
-        summary=summary,
-    )
-    return lcr_table, aed_table
+        mc = _mc_crossing_curve(cfg, prof, kf, thr_lin, mc_runs, f"mc-{fading}-{pname}")
+        for j, t_db in enumerate(thr_db.tolist()):
+            lcr_rows.append((fading, pname, t_db, float(analytic.lcr[j] / cfg.f_D),
+                             float(mc.rates[j] / cfg.f_D)))
+            aed_rows.append((fading, pname, t_db, float(analytic.aed[j]), float(mc.aeds[j])))
+    lcr_headers = ("fading", "profile", "threshold_db", "lcr_analytic_norm", "lcr_mc_norm")
+    aed_headers = ("fading", "profile", "threshold_db", "aed_analytic_s", "aed_mc_s")
+    return (StudyTable(lcr_headers, tuple(lcr_rows), summary),
+            StudyTable(aed_headers, tuple(aed_rows), summary))
 
 
 def study_lcr(
     cfg: ScenarioConfig,
     n_profile_trials: int = 1000,
     mc_runs: int = DEFAULT_MC_RUNS,
-    consts: PowerConstants | None = None,
+    consts: float | None = None,
 ) -> StudyTable:
     """Analytic versus Monte Carlo crossing rates of the extreme profiles.
 
@@ -327,7 +300,7 @@ def study_aed(
     cfg: ScenarioConfig,
     n_profile_trials: int = 1000,
     mc_runs: int = DEFAULT_MC_RUNS,
-    consts: PowerConstants | None = None,
+    consts: float | None = None,
 ) -> StudyTable:
     """Analytic versus Monte Carlo mean exceedance durations (seconds)."""
     return _lcr_aed_tables(cfg, n_profile_trials, mc_runs, consts)[1]

@@ -14,7 +14,14 @@ __all__ = [
     "sample_cr_count",
     "cr_population",
     "sample_placement",
+    "MAX_POPULATION",
 ]
+
+# Largest secondary population of a scenario.  A block of engine.TRIAL_BLOCK
+# = 10 trials holds its positions in a float64 array of TRIAL_BLOCK * 2 values
+# per transmitter; a budget of 64 MiB for that array allows 2**26 // (10 * 2 * 8)
+# = 419 430 transmitters (the default scenario has 3 142).
+MAX_POPULATION = 419_430
 
 
 def snap_points(xy: np.ndarray, delta: float) -> np.ndarray:
@@ -59,15 +66,16 @@ def cr_population(density_per_km2: float, coverage_radius_m: float) -> int:
     """Fixed number of secondary transmitters in the disc: density times
     disc area, rounded half-up to an integer.
 
-    A ConfigError if that number reaches 2**63, beyond the C long that
-    numpy's binomial draw takes."""
+    A ConfigError if that number exceeds MAX_POPULATION, before any array
+    of that size is drawn."""
     if density_per_km2 < 0.0 or coverage_radius_m <= 0.0:
         raise ValueError("need density >= 0 and radius > 0")
     mean = density_per_km2 * math.pi * coverage_radius_m**2 / 1e6
-    if not mean < 2.0**63:
+    if not mean <= MAX_POPULATION:
         raise ConfigError(
             f"{density_per_km2:g} transmitters per km2 in a disc of radius "
-            f"{coverage_radius_m:g} m are {mean:g}, beyond the 2**63 a draw can take"
+            f"{coverage_radius_m:g} m are {mean:g}, beyond the {MAX_POPULATION} "
+            f"a block of trials holds in memory"
         )
     return int(math.floor(mean + 0.5))
 

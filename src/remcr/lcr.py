@@ -18,6 +18,7 @@ profiles.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,7 +174,12 @@ def lcr_rician(fit: NcChiSqFit, doppler_hz: float, thresholds):
     x = t[pos]
     with np.errstate(over="ignore"):
         logpdf = specfun.ncx2_logpdf(x, fit.dof, fit.noncentrality, fit.scale)
-        out[pos] = np.exp(logpdf + 0.5 * np.log(slope * x))
+        slope_x = slope * x
+        low = slope_x < sys.float_info.min  # there log(slope * x) is summed from logs
+        log_slope_x = np.log(np.where(low, 1.0, slope_x))
+        log_slope_x[low] = (math.log(4.0 * math.pi) + 2.0 * math.log(doppler_hz)
+                            - math.log(fit.scale) + np.log(x[low]))
+        out[pos] = np.exp(logpdf + 0.5 * log_slope_x)
     if fit.dof == 1.0:
         out[t == 0.0] = math.exp(-0.5 * fit.noncentrality) * math.sqrt(fit.scale * slope / (2.0 * math.pi))
     elif fit.dof < 1.0:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import sys
 import warnings
 from dataclasses import dataclass, fields
 
@@ -85,12 +86,19 @@ class ScenarioConfig:
             raise ConfigError(f"f_D = {self.f_D} overflows the Rice slope 4*pi*f_D**2")
         if not (0.0 < self.R0 < self.Rc <= self.R):
             raise ConfigError("need 0 < R0 < Rc <= R")
+        # the placements draw r**2 from [R0**2, R**2], and a link needs r > 0
+        if self.R0 * self.R0 == 0.0:
+            raise ConfigError(f"R0 = {self.R0} underflows to 0 when squared")
         if self.sigma_dB <= 0.0:
             raise ConfigError("sigma_dB must be positive")
         if not (0.0 <= self.activity_p <= 1.0):
             raise ConfigError("activity_p must lie in [0, 1]")
         if self.delta_grid < 0.0:
             raise ConfigError("delta_grid must be non-negative")
+        # a map distance is the root of a sum of squares, at most (R + sqrt(2) * delta_grid)**2
+        reach = self.R + math.sqrt(2.0) * self.delta_grid
+        if not reach * reach < math.inf:
+            raise ConfigError(f"delta_grid = {self.delta_grid} overflows the squared map distances")
         if self.D_d <= 0.0:
             raise ConfigError("D_d must be positive")
         if self.noise_power <= 0.0:
@@ -113,6 +121,8 @@ class ScenarioConfig:
             raise ConfigError("cr_density must be non-negative")
         if self.f_D <= 0.0:
             raise ConfigError("f_D must be positive")
+        if 4.0 * math.pi * self.f_D**2 < sys.float_info.min:
+            raise ConfigError(f"f_D = {self.f_D} underflows the Rice slope 4*pi*f_D**2")
         if not (2.0 <= self.gamma_pl <= 4.0):
             warnings.warn(
                 f"path-loss exponent {self.gamma_pl} outside the usual [2, 4] range",

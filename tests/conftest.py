@@ -11,7 +11,7 @@ def base_cfg():
 
 
 @pytest.fixture(scope="session")
-def consts(base_cfg):
+def cr(base_cfg):
     return calibrate(base_cfg)
 
 

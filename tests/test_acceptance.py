@@ -37,16 +37,16 @@ def _verdict(num, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def extremes(base_cfg, consts):
-    profiles = [trial_profile(base_cfg, consts, t) for t in range(1000)]
+def extremes(base_cfg, cr):
+    profiles = [trial_profile(base_cfg, cr, t) for t in range(1000)]
     return select_extreme_profiles(profiles)
 
 
 @pytest.fixture(scope="module")
-def lcr_table(base_cfg, consts):
+def lcr_table(base_cfg, cr):
     # 96 merged runs per curve: at the rate-0.01 inspection floor the count
     # noise is about 5 percent, comfortably inside the 10/15 percent caps.
-    return study_lcr(base_cfg, n_profile_trials=1000, mc_runs=96, consts=consts)
+    return study_lcr(base_cfg, n_profile_trials=1000, mc_runs=96, consts=cr)
 
 
 def test_criterion_01_threshold_identity(base_cfg):
@@ -187,11 +187,11 @@ def test_criterion_05_gamma_ks(base_cfg, extremes):
     _verdict(5, ok, "1e6-sample fit distance: " + "; ".join(parts))
 
 
-def test_criterion_06_map_resolution_cdf(base_cfg, consts):
+def test_criterion_06_map_resolution_cdf(base_cfg, cr):
     deltas = (1.0, 25.0, 50.0, 100.0)
     n_trials = 2000
     samp = {
-        d: degradation_samples(replace(base_cfg, delta_grid=d), n_trials, consts=consts)
+        d: degradation_samples(replace(base_cfg, delta_grid=d), n_trials, cr=cr)
         for d in deltas
     }
     top = max(float(s.max()) for s in samp.values())
@@ -223,10 +223,10 @@ def test_criterion_06_map_resolution_cdf(base_cfg, consts):
     )
 
 
-def test_criterion_07_backoff(base_cfg, consts):
+def test_criterion_07_backoff(base_cfg, cr):
     dd_list = (50.0, 100.0, 200.0)
     delta_list = (10.0, 25.0, 50.0)
-    table = study_backoff(base_cfg, dd_list, delta_list, n_trials=2000, consts=consts)
+    table = study_backoff(base_cfg, dd_list, delta_list, n_trials=2000, consts=cr)
     stars = {(dd, d): b for dd, d, b in table.rows}
     mono_delta = all(
         stars[(dd, 10.0)] > stars[(dd, 25.0)] > stars[(dd, 50.0)] for dd in dd_list

@@ -8,18 +8,15 @@ from remcr.allocation import (
     FitFailureError,
     InterferenceProfile,
     TooFewProfilesError,
-    degradation_db,
     select_extreme_profiles,
 )
-from remcr.channel import PowerConstants
 from remcr.engine import TrialBatch, evaluate, trial_profile
 from remcr.scenario import ScenarioConfig, interference_threshold
 
 
-def _admit(candidates):
-    """Admitted profile of one hand-built trial whose secondary links have
-    the given (true power, estimated power) pairs, in link order, against
-    the budget of a 2 dB buffer over unit noise.
+def _evaluate(candidates):
+    """Evaluation of one hand-built trial whose secondary links have the
+    given (true power, estimated power) pairs, in link order.
 
     At grid size 1 every transmitter sits on the center of the cell next to
     the receiver's, 1 m away on the map, and a decorrelation distance of
@@ -27,25 +24,33 @@ def _admit(candidates):
     n = len(candidates)
     true = [t for t, _ in candidates]
     est = [e for _, e in candidates]
+    with np.errstate(divide="ignore"):  # an estimate of 0 is exp(-inf)
+        fresh = np.log(np.reshape(est, (1, n)))
     batch = TrialBatch(
         cfg=ScenarioConfig(),
-        consts=PowerConstants(cr=1.0),
+        cr=1.0,
         trials=np.zeros(1, dtype=np.int64),
         counts=np.array([n]),
         active=np.ones((1, n), dtype=bool),
         xy=np.tile([1.5, 0.5], (1, n, 1)),
         shadows=np.zeros((1, n)),
-        fresh=np.log(np.reshape(est, (1, n))),
+        fresh=fresh,
         true_powers=np.reshape(true, (1, n)),
     )
-    return evaluate(batch, 1.0, 1e-6).profiles(interference_threshold(2.0, 1.0))[0]
+    return evaluate(batch, 1.0, 1e-6)
+
+
+def _admit(candidates):
+    """Admitted profile of the _evaluate trial against the budget of a 2 dB
+    buffer over unit noise."""
+    return _evaluate(candidates).profiles(interference_threshold(2.0, 1.0))[0]
 
 
 class TestAllocate:
     def test_no_candidates(self):
-        prof = _admit([])
-        assert len(prof) == 0
-        assert degradation_db(prof, 1.0) == 0.0
+        ev = _evaluate([])
+        assert len(ev.profiles(interference_threshold(2.0, 1.0))[0]) == 0
+        assert ev.degradation(interference_threshold(2.0, 1.0)).tolist() == [0.0]
 
     def test_single_over_budget_rejected(self):
         budget = interference_threshold(2.0, 1.0)
@@ -68,11 +73,18 @@ class TestAllocate:
         assert np.allclose(prof.est_weights, [0.05, 0.5])
         assert np.allclose(prof.weights, [7.0, 5.0])
 
-    def test_perfect_map_never_violates_true_budget(self, base_cfg, consts):
+    def test_perfect_map_never_violates_true_budget(self, base_cfg, cr):
         budget = interference_threshold(base_cfg.buffer_dB, base_cfg.noise_power)
         for i in range(2000):
-            prof = trial_profile(base_cfg, consts, i)
+            prof = trial_profile(base_cfg, cr, i)
             assert float(np.sum(prof.weights)) <= budget * (1.0 + 1e-12)
+
+    def test_zero_powers(self):
+        # an estimate that underflowed to 0 is admitted; a link whose true
+        # power underflowed to 0 adds nothing and is left out of the profile
+        prof = _admit([(0.0, 0.1), (2.0, 0.0), (0.0, 0.0), (3.0, 0.2)])
+        assert prof.weights.tolist() == [2.0, 3.0]
+        assert prof.est_weights.tolist() == [0.0, 0.2]
 
 
 class TestProfile:
@@ -83,21 +95,26 @@ class TestProfile:
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
             InterferenceProfile(weights=np.array([0.0]), est_weights=np.array([1.0]))
+        with pytest.raises(ValueError):  # an estimate may be 0 (test_zero_powers), not negative
+            InterferenceProfile(weights=np.array([1.0]), est_weights=np.array([-1.0]))
+
+
+def _degradation(true_powers):
+    """Evaluation.degradation of the _evaluate trial with these true powers,
+    admitting every link, over unit noise."""
+    return float(_evaluate([(t, 1.0) for t in true_powers]).degradation(math.inf)[0])
 
 
 class TestDegradation:
     def test_empty_profile(self):
-        prof = InterferenceProfile(weights=np.empty(0), est_weights=np.empty(0))
-        assert degradation_db(prof, 1.0) == 0.0
+        assert _degradation([]) == 0.0
 
     def test_budget_boundary_reaches_buffer(self):
         total = interference_threshold(2.0, 1.0)
-        prof = InterferenceProfile(weights=np.array([total]), est_weights=np.array([total]))
-        assert math.isclose(degradation_db(prof, 1.0), 2.0, rel_tol=1e-12)
+        assert math.isclose(_degradation([total]), 2.0, rel_tol=1e-12)
 
     def test_interference_equal_noise_doubles(self):
-        prof = InterferenceProfile(weights=np.array([1.0]), est_weights=np.array([1.0]))
-        assert math.isclose(degradation_db(prof, 1.0), 10.0 * math.log10(2.0), rel_tol=1e-12)
+        assert math.isclose(_degradation([1.0]), 10.0 * math.log10(2.0), rel_tol=1e-12)
 
 
 class TestExtremeProfiles:
@@ -133,11 +150,11 @@ class TestExtremeProfiles:
             select_extreme_profiles(iter([empty, self._prof(1.0), empty]))
         assert info.value.non_empty == 1
 
-    def test_generator_gives_the_list_pair(self, base_cfg, consts):
+    def test_generator_gives_the_list_pair(self, base_cfg, cr):
         tie = self._prof(2.0, 1.0)
         profiles = (
             [self._prof(1.0, 1.0), tie, self._prof(1.0, 2.0), self._prof(0.5)]
-            + [trial_profile(base_cfg, consts, i) for i in range(50)]
+            + [trial_profile(base_cfg, cr, i) for i in range(50)]
             + [self._prof(3.0, 0.5), self._prof(0.5, 3.0)]
         )
         from_list = select_extreme_profiles(profiles)
@@ -161,8 +178,8 @@ class TestExtremeProfiles:
                 select_extreme_profiles(profiles)
         assert next(profiles).weights[0] == scale  # stopped at the first profile
 
-    def test_dominant_has_larger_max_share(self, base_cfg, consts):
-        profiles = [trial_profile(base_cfg, consts, i) for i in range(300)]
+    def test_dominant_has_larger_max_share(self, base_cfg, cr):
+        profiles = [trial_profile(base_cfg, cr, i) for i in range(300)]
         dom, nod = select_extreme_profiles(profiles)
         dom_share = np.max(dom.weights) / np.sum(dom.weights)
         nod_share = np.max(nod.weights) / np.sum(nod.weights)

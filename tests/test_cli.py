@@ -3,7 +3,9 @@ import hashlib
 import inspect
 import io
 import json
+import os
 import re
+import resource
 import subprocess
 import sys
 import warnings
@@ -14,6 +16,8 @@ import pytest
 from remcr import __version__, cli
 from remcr.cli import _fmt_cell, run
 from remcr.experiments import StudyTable
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _capture(argv, capsys):
@@ -305,6 +309,60 @@ class TestExitCodes:
         lines = [l for l in out.splitlines() if l]
         assert all(l.startswith("ok - ") for l in lines)
         assert len(lines) == 8
+
+
+def _edge_cases():
+    """Configs at the edge of the float range or of memory, as
+    (scenario lines, argv) params, one for each study the config reaches."""
+    all_studies = ["cdf", "grid-tradeoff", "backoff", "lcr", "aed", "validate"]
+    table = [
+        # a population beyond MAX_POPULATION, rejected before it is drawn
+        ("population-1e11", "R = 1e7", all_studies),
+        ("population-3e9", "R = 1e6", ["cdf"]),
+        # R0**2 underflows to 0
+        ("r0-squared", "R0 = 1e-300\nRc = 1e-290\nR = 1e-280", ["cdf", "lcr", "validate"]),
+        # the Rice slope 4*pi*f_D**2 underflows to 0
+        ("doppler-squared", "f_D = 1e-300", ["lcr", "aed"]),
+        # exp of the shadowing overflows where the path gain underflows: inf * 0
+        ("power-inf-times-zero", "sigma_dB = 1000\nR = 1e100\nRc = 1e99", ["cdf", "validate"]),
+        # every true link power underflows to 0
+        ("true-power-zero", "cr_density = 1e-300\nR = 1e153\nactivity_p = 1", ["lcr", "aed"]),
+        # the map estimates of links outside the receiver's cell underflow to 0
+        ("estimate-zero", "delta_grid = 1e150", ["lcr", "aed", "validate"]),
+        # the squared map distances overflow
+        ("map-distance-squared", "delta_grid = 1e300", ["lcr", "validate"]),
+        # a fit with 1.3e30 degrees of freedom
+        ("huge-k-factor", "K_dB = 300", ["lcr", "aed"]),
+    ]
+    return [
+        pytest.param(lines, [study] + ([] if study == "validate" else ["--trials", "30"]),
+                     id=f"{name}-{study}")
+        for name, lines, studies in table
+        for study in studies
+    ]
+
+
+def _limit_address_space():
+    # a population that slips past its bound then fails fast with a
+    # MemoryError instead of taking the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+class TestExitContract:
+    @pytest.mark.parametrize("lines, argv", _edge_cases())
+    def test_exits_clean(self, tmp_path, lines, argv):
+        # exit 0, 2 or 3, and neither a traceback nor a RuntimeWarning
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text(lines + "\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "remcr.cli", *argv, "--config", str(cfg)],
+            capture_output=True, text=True, timeout=300, env=env,
+            preexec_fn=_limit_address_space,
+        )
+        assert proc.returncode in (0, 2, 3), proc.stderr
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr, proc.stderr
 
 
 class TestConsoleScript:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from remcr import engine
-from remcr.channel import DB_TO_NAT, PowerConstants, gudmundson_correlation
+from remcr.channel import DB_TO_NAT, gudmundson_correlation
 from remcr.engine import (
     TRIAL_BLOCK,
     TrialBatch,
@@ -22,7 +22,7 @@ from remcr.geometry import sample_placement, snap_points
 from remcr.scenario import ConfigError, ScenarioConfig, derive_stream, interference_threshold
 
 
-def _one_trial(cfg, consts, trial_index):
+def _one_trial(cfg, cr, trial_index):
     """One trial drawn and estimated link by link on its own, the way the
     engine did before trials were batched: the oracle for bit-for-bit checks.
 
@@ -34,7 +34,7 @@ def _one_trial(cfg, consts, trial_index):
     crs = sample_placement(place, cfg)
     n = len(crs)
     shadows = DB_TO_NAT * shadow.normal(0.0, cfg.sigma_dB, size=n) if n else np.empty(0)
-    true = consts.cr * np.exp(shadows) * np.hypot(crs[:, 0], crs[:, 1]) ** (-cfg.gamma_pl)
+    true = cr * np.exp(shadows) * np.hypot(crs[:, 0], crs[:, 1]) ** (-cfg.gamma_pl)
     snapped = snap_points(crs, cfg.delta_grid)
     rx = snap_points(np.zeros(2), cfg.delta_grid)
     d_tx = np.sqrt(np.sum((crs - snapped) ** 2, axis=1)) if n else np.empty(0)
@@ -44,7 +44,7 @@ def _one_trial(cfg, consts, trial_index):
     r_hat = np.sqrt(np.sum((snapped - np.asarray(rx)) ** 2, axis=1)) if n else np.empty(0)
     clamped = r_hat == 0.0
     r_hat = np.where(clamped, cfg.R0, r_hat)
-    est = consts.cr * np.exp(shadow_est) * r_hat ** (-cfg.gamma_pl)
+    est = cr * np.exp(shadow_est) * r_hat ** (-cfg.gamma_pl)
     order = np.argsort(est, kind="stable")
     est, true = est[order], true[order]
 
@@ -65,30 +65,30 @@ def _row(ev, row):
     return ev.est_sorted[row, :n], ev.true_sorted[row, :n], clamped
 
 
-def _trial(cfg, consts, trial_index):
+def _trial(cfg, cr, trial_index):
     """One trial drawn and evaluated alone, as a batch of one."""
-    return _row(evaluate(draw_trials(cfg, consts, [trial_index]), cfg.delta_grid, cfg.D_d), 0)
+    return _row(evaluate(draw_trials(cfg, cr, [trial_index]), cfg.delta_grid, cfg.D_d), 0)
 
 
-def _critical_budgets(cfg, consts, n_trials):
+def _critical_budgets(cfg, cr, n_trials):
     true_cap = interference_threshold(cfg.buffer_dB, cfg.noise_power)
     return sweep(
-        trial_batches(cfg, consts, n_trials), n_trials, [(cfg.delta_grid, cfg.D_d)],
+        trial_batches(cfg, cr, n_trials), n_trials, [(cfg.delta_grid, cfg.D_d)],
         lambda ev: ev.critical_budgets(true_cap),
     )[0]
 
 
-def _assert_matches_one_trial(cfg, consts, trials):
+def _assert_matches_one_trial(cfg, cr, trials):
     """evaluate over one batch of the trials equals each trial on its own,
     through the oracle and through a one-trial batch, bit for bit."""
     budget = interference_threshold(cfg.buffer_dB, cfg.noise_power)
-    ev = evaluate(draw_trials(cfg, consts, trials), cfg.delta_grid, cfg.D_d)
+    ev = evaluate(draw_trials(cfg, cr, trials), cfg.delta_grid, cfg.D_d)
     degradation = ev.degradation(budget)
     critical = ev.critical_budgets(budget)
     clamped = 0
     for row, i in enumerate(trials):
-        est, true, n_clamped, deg, crit = _one_trial(cfg, consts, i)
-        for got_est, got_true, got_clamped in (_row(ev, row), _trial(cfg, consts, i)):
+        est, true, n_clamped, deg, crit = _one_trial(cfg, cr, i)
+        for got_est, got_true, got_clamped in (_row(ev, row), _trial(cfg, cr, i)):
             assert np.array_equal(got_est, est)
             assert np.array_equal(got_true, true)
             assert got_clamped == n_clamped
@@ -103,39 +103,39 @@ class TestBatchEquivalence:
     # at 79 m and 361 m, np.hypot of the snapped receiver differs from
     # math.hypot by one ulp; the receiver's displacement must be the latter
     @pytest.mark.parametrize("delta", (0.0, 1.0, 25.0, 79.0, 100.0, 361.0, 400.0))
-    def test_batch_matches_one_trial(self, base_cfg, consts, delta, D_d):
+    def test_batch_matches_one_trial(self, base_cfg, cr, delta, D_d):
         cfg = dataclasses.replace(base_cfg, delta_grid=delta, D_d=D_d)
-        clamped = _assert_matches_one_trial(cfg, consts, range(2 * TRIAL_BLOCK + 3))
+        clamped = _assert_matches_one_trial(cfg, cr, range(2 * TRIAL_BLOCK + 3))
         if delta == 400.0:
             # the receiver's cell is 400 m wide: transmitters in it snap
             # onto the receiver and their distance is clamped
             assert clamped > 0
 
-    def test_sparse_trials_with_no_transmitter(self, consts):
+    def test_sparse_trials_with_no_transmitter(self, cr):
         cfg = ScenarioConfig(cr_density=1.0, delta_grid=25.0)  # 3 transmitters
-        counts = draw_trials(cfg, consts, range(40)).counts
+        counts = draw_trials(cfg, cr, range(40)).counts
         assert np.any(counts == 0) and np.any(counts > 0)
-        _assert_matches_one_trial(cfg, consts, range(40))
+        _assert_matches_one_trial(cfg, cr, range(40))
 
-    def test_block_without_any_transmitter(self, consts):
+    def test_block_without_any_transmitter(self, cr):
         cfg = ScenarioConfig(cr_density=0.0, delta_grid=25.0)
-        ev = evaluate(draw_trials(cfg, consts, range(5)), 25.0, cfg.D_d)
+        ev = evaluate(draw_trials(cfg, cr, range(5)), 25.0, cfg.D_d)
         budget = interference_threshold(cfg.buffer_dB, cfg.noise_power)
         assert ev.est_sorted.shape == (5, 0)
         assert np.array_equal(ev.degradation(budget), np.zeros(5))
         assert np.all(np.isinf(ev.critical_budgets(budget)))
         assert [len(p) for p in ev.profiles(budget)] == [0] * 5
 
-    def test_studies_match_one_trial_across_blocks(self, base_cfg, consts):
+    def test_studies_match_one_trial_across_blocks(self, base_cfg, cr):
         cfg = dataclasses.replace(base_cfg, delta_grid=50.0)
         n = 2 * TRIAL_BLOCK + 5
-        oracle = [_one_trial(cfg, consts, i) for i in range(n)]
-        assert np.array_equal(degradation_samples(cfg, n, consts), [o[3] for o in oracle])
-        assert np.array_equal(_critical_budgets(cfg, consts, n), [o[4] for o in oracle])
+        oracle = [_one_trial(cfg, cr, i) for i in range(n)]
+        assert np.array_equal(degradation_samples(cfg, n, cr), [o[3] for o in oracle])
+        assert np.array_equal(_critical_budgets(cfg, cr, n), [o[4] for o in oracle])
 
-    def test_draws_independent_of_the_sweep_point(self, base_cfg, consts):
-        a = draw_trials(dataclasses.replace(base_cfg, delta_grid=100.0, D_d=50.0), consts, [4, 9])
-        b = draw_trials(base_cfg, consts, [4, 9])
+    def test_draws_independent_of_the_sweep_point(self, base_cfg, cr):
+        a = draw_trials(dataclasses.replace(base_cfg, delta_grid=100.0, D_d=50.0), cr, [4, 9])
+        b = draw_trials(base_cfg, cr, [4, 9])
         for name in ("counts", "xy", "shadows", "fresh", "true_powers"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
@@ -143,77 +143,76 @@ class TestBatchEquivalence:
 class TestDrawCandidates:
     """A trial's candidate links: its row of evaluate(draw_trials(...))."""
 
-    def test_deterministic_per_trial(self, base_cfg, consts):
-        a = evaluate(draw_trials(base_cfg, consts, [3]), base_cfg.delta_grid, base_cfg.D_d)
-        b = evaluate(draw_trials(base_cfg, consts, [3]), base_cfg.delta_grid, base_cfg.D_d)
+    def test_deterministic_per_trial(self, base_cfg, cr):
+        a = evaluate(draw_trials(base_cfg, cr, [3]), base_cfg.delta_grid, base_cfg.D_d)
+        b = evaluate(draw_trials(base_cfg, cr, [3]), base_cfg.delta_grid, base_cfg.D_d)
         assert np.array_equal(a.est_sorted, b.est_sorted)
         assert np.array_equal(a.true_sorted, b.true_sorted)
 
-    def test_trials_differ(self, base_cfg, consts):
-        a = _trial(base_cfg, consts, 0)
-        b = _trial(base_cfg, consts, 1)
+    def test_trials_differ(self, base_cfg, cr):
+        a = _trial(base_cfg, cr, 0)
+        b = _trial(base_cfg, cr, 1)
         assert len(a[0]) != len(b[0]) or not np.array_equal(a[0], b[0])
 
-    def test_estimates_sorted_ascending(self, base_cfg, consts):
-        ev = evaluate(draw_trials(base_cfg, consts, [5]), base_cfg.delta_grid, base_cfg.D_d)
+    def test_estimates_sorted_ascending(self, base_cfg, cr):
+        ev = evaluate(draw_trials(base_cfg, cr, [5]), base_cfg.delta_grid, base_cfg.D_d)
         est, true, _ = _row(ev, 0)
         assert np.all(np.diff(est) >= 0.0)
         assert len(est) == len(true) == ev.batch.counts[0]
 
-    def test_perfect_map_estimates_equal_truth(self, base_cfg, consts):
-        est, true, clamped = _trial(base_cfg, consts, 2)
+    def test_perfect_map_estimates_equal_truth(self, base_cfg, cr):
+        est, true, clamped = _trial(base_cfg, cr, 2)
         assert np.allclose(est, true, rtol=1e-12)
         assert clamped == 0
 
-    def test_coarse_map_estimates_differ(self, base_cfg, consts):
+    def test_coarse_map_estimates_differ(self, base_cfg, cr):
         cfg = dataclasses.replace(base_cfg, delta_grid=50.0)
-        est, true, _ = _trial(cfg, consts, 2)
+        est, true, _ = _trial(cfg, cr, 2)
         assert not np.allclose(est, true, rtol=1e-3)
 
 
 class TestTrialProfile:
-    def test_admission_is_maximal_prefix(self, base_cfg, consts):
+    def test_admission_is_maximal_prefix(self, base_cfg, cr):
         cfg = dataclasses.replace(base_cfg, delta_grid=25.0)
         budget = interference_threshold(cfg.buffer_dB, cfg.noise_power)
         for i in range(10):
-            prof = trial_profile(cfg, consts, i)
-            est, _, _ = _trial(cfg, consts, i)
+            prof = trial_profile(cfg, cr, i)
+            est, _, _ = _trial(cfg, cr, i)
             k = len(prof)
             assert np.sum(prof.est_weights) <= budget * (1.0 + 1e-12)
             if k < len(est):
                 assert np.sum(est[: k + 1]) > budget
 
-    def test_buffer_override(self, base_cfg, consts):
-        small = trial_profile(dataclasses.replace(base_cfg, buffer_dB=0.5), consts, 0)
-        full = trial_profile(base_cfg, consts, 0)
+    def test_buffer_override(self, base_cfg, cr):
+        small = trial_profile(dataclasses.replace(base_cfg, buffer_dB=0.5), cr, 0)
+        full = trial_profile(base_cfg, cr, 0)
         assert len(small) <= len(full)
         assert np.sum(small.est_weights) <= interference_threshold(0.5, base_cfg.noise_power)
 
 
 class TestDegradationSamples:
-    def test_shape_and_range(self, base_cfg, consts):
-        samples = degradation_samples(base_cfg, 50, consts)
+    def test_shape_and_range(self, base_cfg, cr):
+        samples = degradation_samples(base_cfg, 50, cr)
         assert samples.shape == (50,)
         assert np.all(samples >= 0.0)
         assert np.all(samples <= base_cfg.buffer_dB + 1e-9)  # perfect map
 
-    def test_matches_trial_profiles(self, base_cfg, consts):
+    def test_matches_trial_profiles(self, base_cfg, cr):
         cfg = dataclasses.replace(base_cfg, delta_grid=50.0)
-        from remcr.allocation import degradation_db
-
-        samples = degradation_samples(cfg, 8, consts)
+        samples = degradation_samples(cfg, 8, cr)
         for i in range(8):
-            prof = trial_profile(cfg, consts, i)
-            assert np.isclose(samples[i], degradation_db(prof, cfg.noise_power), rtol=1e-12)
+            total = float(np.sum(trial_profile(cfg, cr, i).weights))
+            expected = 10.0 * math.log10((total + cfg.noise_power) / cfg.noise_power)
+            assert np.isclose(samples[i], expected, rtol=1e-12)
 
 
 class TestCriticalBudgets:
-    def test_threshold_behavior(self, base_cfg, consts):
+    def test_threshold_behavior(self, base_cfg, cr):
         cfg = dataclasses.replace(base_cfg, delta_grid=25.0)
         true_cap = interference_threshold(cfg.buffer_dB, cfg.noise_power)
-        crits = _critical_budgets(cfg, consts, 12)
+        crits = _critical_budgets(cfg, cr, 12)
         for i, crit in enumerate(crits):
-            est, true, _ = _trial(cfg, consts, i)
+            est, true, _ = _trial(cfg, cr, i)
             cum_est = np.cumsum(est)
             cum_true = np.cumsum(true)
             if np.isinf(crit):
@@ -227,8 +226,8 @@ class TestCriticalBudgets:
                 realized = cum_true[k - 1] if k > 0 else 0.0
                 assert (realized > true_cap) == should_violate
 
-    def test_perfect_map_never_critical(self, base_cfg, consts):
-        crits = _critical_budgets(base_cfg, consts, 12)
+    def test_perfect_map_never_critical(self, base_cfg, cr):
+        crits = _critical_budgets(base_cfg, cr, 12)
         budget = interference_threshold(base_cfg.buffer_dB, base_cfg.noise_power)
         # with estimates equal to truth the violation point is past the
         # operating budget whenever it exists at all
@@ -236,14 +235,14 @@ class TestCriticalBudgets:
 
 
 class TestSharedGeometry:
-    def test_sweep_equals_one_evaluate_per_point(self, base_cfg, consts, monkeypatch):
+    def test_sweep_equals_one_evaluate_per_point(self, base_cfg, cr, monkeypatch):
         # at 79 m and 361 m the snapped receiver's np.hypot is one ulp off
         # math.hypot; at 400 m links in the receiver's cell are clamped
         deltas, dds = (0.0, 25.0, 79.0, 361.0, 400.0), (50.0, 100.0, 200.0)
         # study_backoff's order: each grid size recurs among the points
         points = [(delta, dd) for dd in dds for delta in deltas]
         n = 2 * TRIAL_BLOCK + 3
-        batches = list(trial_batches(base_cfg, consts, n))
+        batches = list(trial_batches(base_cfg, cr, n))
         calls = []
         estimate_links = engine.estimate_links
         monkeypatch.setattr(engine, "estimate_links", lambda *a: calls.append(a) or estimate_links(*a))
@@ -296,7 +295,7 @@ def _tied_block(counts, seed, n_values, n_cells):
     cfg = ScenarioConfig()
     batch = TrialBatch(
         cfg=cfg,
-        consts=PowerConstants(cr=1.0),
+        cr=1.0,
         trials=np.arange(len(counts)),
         counts=counts,
         active=active,
@@ -329,7 +328,7 @@ class TestLinkPowerOverflow:
     def test_non_finite_link_power_sum_is_a_config_error(self, base_cfg):
         # cr * exp(X) overflows for a shadowing value of a few sigma
         with pytest.raises(ConfigError, match=r"trial \d+: its true link powers and the noise power sum to inf"):
-            draw_trials(base_cfg, PowerConstants(cr=1e307), range(TRIAL_BLOCK))
+            draw_trials(base_cfg, 1e307, range(TRIAL_BLOCK))
 
 
 class TestAdmissionOrder:

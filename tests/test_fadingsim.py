@@ -252,14 +252,14 @@ class TestMergeCounted:
 
 
 class TestDegradationCdf:
-    def test_small_grid_rarely_exceeds_three_db(self, base_cfg, consts):
+    def test_small_grid_rarely_exceeds_three_db(self, base_cfg, cr):
         cfg = dataclasses.replace(base_cfg, delta_grid=1.0)
-        samples = degradation_samples(cfg, 400, consts)
+        samples = degradation_samples(cfg, 400, cr)
         assert np.mean(samples > 3.0) <= 0.02
 
-    def test_grid_size_orders_medians(self, base_cfg, consts):
+    def test_grid_size_orders_medians(self, base_cfg, cr):
         medians = []
         for delta in (1.0, 50.0, 100.0):
             cfg = dataclasses.replace(base_cfg, delta_grid=delta)
-            medians.append(np.median(degradation_samples(cfg, 300, consts)))
+            medians.append(np.median(degradation_samples(cfg, 300, cr)))
         assert medians[0] < medians[1] < medians[2]

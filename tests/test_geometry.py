@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from remcr.engine import TRIAL_BLOCK
 from remcr.geometry import (
+    MAX_POPULATION,
     cr_population,
     sample_annulus_points,
     sample_cr_count,
@@ -98,12 +100,16 @@ class TestPopulation:
         counts = [sample_cr_count(stream, 1000.0, 1000.0, 0.1) for _ in range(10_000)]
         assert abs(np.mean(counts) - 314.2) < 3.0
 
-    def test_population_beyond_a_binomial_draw_is_a_config_error(self):
-        # pi * R**2 / 1e3 transmitters: about 7.9e18 at R = 5e10, inf at 1e154
-        assert cr_population(1000.0, 5e10) == 7853981633974482944
-        for radius in (6e10, 1e100, 1e154):
-            with pytest.raises(ConfigError, match="beyond the 2\\*\\*63 a draw can take"):
+    def test_population_beyond_the_block_budget_is_a_config_error(self):
+        # pi * R**2 / 1e3 transmitters: 419 430 at R = 11 554.597, inf at 1e154
+        assert cr_population(1000.0, 11554.597) == MAX_POPULATION
+        for radius in (11554.598, 1e7, 5e10, 1e100, 1e154):
+            with pytest.raises(ConfigError, match="beyond the 419430 a block of trials holds"):
                 cr_population(1000.0, radius)
+
+    def test_population_bound_is_the_block_budget(self):
+        # positions of a block: TRIAL_BLOCK * population * 2 float64 values in 64 MiB
+        assert MAX_POPULATION == 2**26 // (TRIAL_BLOCK * 2 * 8)
 
     def test_invalid_inputs(self):
         stream = np.random.default_rng(10)

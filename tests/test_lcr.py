@@ -261,6 +261,16 @@ class TestLcrRician:
         curve = rician_curve([0.3, 0.5], 3.0, 25.0, thresholds=[math.inf])
         assert curve.lcr.tolist() == [0.0] and np.isnan(curve.aed).all()
 
+    @pytest.mark.parametrize("noncentrality", [0.0, 2.0], ids=["central", "noncentral"])
+    def test_slope_times_threshold_below_the_normal_floats(self, noncentrality):
+        # 4*pi*f_D**2 / scale * T underflows at f_D = 1e-150 and T near 1e-10;
+        # taken in log space, the rate stays f_D times the rate at f_D = 1
+        fit = NcChiSqFit(dof=3.0, noncentrality=noncentrality, scale=3e10)
+        t = np.geomspace(1e-12, 1e-9, 7)
+        assert np.all(4.0 * math.pi * 1e-300 / fit.scale * t < np.finfo(float).tiny)
+        tiny = lcr_rician(fit, 1e-150, t)
+        assert np.allclose(tiny / 1e-150, lcr_rician(fit, 1.0, t), rtol=1e-13, atol=0.0)
+
 
 def _gamma_moments(w):
     # (shape, rate) of the gamma law with mean sum(w) and variance sum(w**2)

@@ -123,6 +123,22 @@ class TestScenarioValidation:
             ScenarioConfig(f_D=1e154)
         assert ScenarioConfig(f_D=1e150).f_D == 1e150
 
+    def test_underflow_rejected(self):
+        # R0**2 = 0 would place links at distance 0
+        with pytest.raises(ConfigError, match=r"R0 = 1e-300 underflows to 0 when squared"):
+            ScenarioConfig(R0=1e-300, Rc=1e-290, R=1e-280)
+        assert ScenarioConfig(R0=1e-160, Rc=1e-150, R=1e-140).R0 == 1e-160
+        # 4*pi*f_D**2 below the normal floats: Rice's rates would lose digits or vanish
+        for f_d in (1e-300, 1e-160):
+            with pytest.raises(ConfigError, match=rf"f_D = {f_d} underflows the Rice slope"):
+                ScenarioConfig(f_D=f_d)
+        assert ScenarioConfig(f_D=1e-150).f_D == 1e-150
+
+    def test_map_distance_overflow_rejected(self):
+        with pytest.raises(ConfigError, match=r"delta_grid = 1e\+300 overflows the squared map distances"):
+            ScenarioConfig(delta_grid=1e300)
+        assert ScenarioConfig(delta_grid=1e150).delta_grid == 1e150
+
     @pytest.mark.parametrize(
         "k_db, problem", [(-3300.0, "underflows"), (1100.0, "overflows"), (3000.0, "overflows")]
     )

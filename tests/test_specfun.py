@@ -40,6 +40,28 @@ class TestBesselJ0:
         assert got.shape == (3,)
         assert got[0] == 1.0
 
+    def test_within_its_bound_of_scipy_across_the_domain(self):
+        # the docstring's bound, 1e-15 * (1 + |x|) for |x| <= 1e5
+        rng = np.random.default_rng(3)
+        x = np.concatenate([
+            np.linspace(-40.0, 40.0, 2001),
+            np.geomspace(1e-8, 1e5, 1500),
+            -np.geomspace(1e-3, 1e5, 100),
+            rng.uniform(-1e5, 1e5, 100),
+            [1e5, -1e5],
+        ])
+        err = np.abs(bessel_j0(x) - special.j0(x))
+        assert np.all(err <= 1e-15 * (1.0 + np.abs(x)))
+
+    def test_element_value_independent_of_the_array(self):
+        x = [0.5, 30.0, 7e4, -2.0]
+        assert bessel_j0(np.array(x)).tolist() == [bessel_j0(v) for v in x]
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.000001e5, -math.inf])
+    def test_rejects_nan_and_out_of_domain(self, bad):
+        with pytest.raises(ValueError):
+            bessel_j0(np.array([1.0, bad]))
+
 
 class TestLogBesselI:
     def test_zero_order_at_origin(self):
@@ -105,6 +127,16 @@ class TestLogBesselI:
         want = np.log(scaled[ok]) + x[ok]
         got = log_bessel_i(order, x)[ok]
         assert np.all(np.abs(got - want) <= 2e-13 * np.maximum(1.0, np.abs(want)))
+
+
+    def test_order_beyond_the_float_range_of_its_powers(self):
+        # order**13 overflows at order 1e30: the terms from there on are below
+        # rounding, so the leading Debye term is the answer
+        order = 1e30
+        x = np.array([1e-3, 1e29, 1e30, 1e31])
+        r = np.hypot(order, x)
+        want = r - order * np.arcsinh(order / x) - 0.5 * np.log(2.0 * math.pi * r)
+        assert np.allclose(log_bessel_i(order, x), want, rtol=1e-15, atol=0.0)
 
 
 class TestIncompleteGamma:
@@ -292,6 +324,14 @@ class TestNcx2SfStoppingRule:
         _, terms = _ncx2_log_sf(y, 1.0, 1e6)
         assert terms <= 40 * 1000
 
+    def test_noncentrality_beyond_int64_decided_by_the_bounds(self):
+        # h = 1e30: the law's standard deviation is 1e-15 of its mean, so the
+        # Chernoff bounds fix every point below and above the mean to 1 and 0
+        # and no term is summed
+        mean = 2e30
+        got = ncx2_sf(mean * np.array([0.5, 0.999, 1.001, 2.0]), 1e30, 1e30, 1.0)
+        assert got.tolist() == [1.0, 1.0, 0.0, 0.0]
+
     @settings(max_examples=60, deadline=None)
     @given(
         dof=st.floats(0.5, 1000.0),
@@ -312,24 +352,28 @@ class TestNcx2SfStoppingRule:
 
 _IMPORT_GUARD = """
 import json, sys
+sys.modules["scipy"] = None  # from here on, importing scipy raises ImportError
 import remcr.cli
-from remcr import experiments
+from remcr import experiments, lcr
 from remcr.scenario import ScenarioConfig
 codes = [remcr.cli.run([study, "--trials", "3", "--out", f"{sys.argv[1]}/{study}.csv"])
          for study in ("cdf", "grid-tradeoff", "backoff")]
 for study in (experiments.study_lcr, experiments.study_aed):
     study(ScenarioConfig(), n_profile_trials=40, mc_runs=1)
-print(json.dumps({"codes": codes, "scipy_special": "scipy.special" in sys.modules}))
+codes.append(remcr.cli.run(["validate"]))
+acf = lcr.aggregate_acf([1.0, 2.0], 25.0, [0.0, 0.01])
+print(json.dumps({"codes": codes, "acf": acf.tolist()}))
 """
 
 
 class TestNoScipySpecial:
     def test_studies_never_load_scipy_special(self, tmp_path):
-        # every special function on the studies' paths is numpy and math, so a
-        # fresh process running all five does not pay for scipy.special
+        # the runtime is numpy alone: with scipy blocked, a fresh process runs
+        # all five studies, validate and the squared-Bessel autocorrelation
         proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(tmp_path)],
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        got = json.loads(proc.stdout)
-        assert got["codes"] == [0, 0, 0]
-        assert not got["scipy_special"]
+        got = json.loads(proc.stdout.splitlines()[-1])
+        assert got["codes"] == [0, 0, 0, 0]
+        assert got["acf"][0] == 1.0
+        assert abs(got["acf"][1] - special.j0(2.0 * math.pi * 0.25) ** 2) <= 1e-15
