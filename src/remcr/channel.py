@@ -44,8 +44,14 @@ def received_power(power_const, shadow_log, distance_m, pathloss_exp: float):
     d = np.asarray(distance_m, dtype=float)
     if (d <= 0.0).any():
         raise ValueError("received_power requires positive distance")
+    # one output buffer and the path gains: the products of
+    # power_const * exp(shadow_log) * d**(-exp), in that order, in place
+    out = np.empty(np.broadcast(power_const, shadow_log, d).shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        return power_const * np.exp(shadow_log) * d ** (-pathloss_exp)
+        np.exp(shadow_log, out=out)
+        np.multiply(power_const, out, out=out)
+        out *= d ** (-pathloss_exp)
+    return out if out.ndim else out[()]
 
 
 def sample_shadows(stream: np.random.Generator, n: int, sigma_db: float) -> np.ndarray:
@@ -74,7 +80,11 @@ def gudmundson_correlation(d_tx_m, d_rx_m, decorr_m):
     d_rx = np.asarray(d_rx_m, dtype=float)
     if (d_tx < 0.0).any() or (d_rx < 0.0).any():
         raise ValueError("displacements must be non-negative")
-    out = 0.5 ** (d_tx / decorr_m) * 0.5 ** (d_rx / decorr_m)
+    # 0.5**(d_tx/D) * 0.5**(d_rx/D) in one buffer of the broadcast shape
+    out = np.empty(np.broadcast(d_tx, d_rx, decorr_m).shape)
+    np.divide(d_tx, decorr_m, out=out)
+    np.power(0.5, out, out=out)
+    out *= 0.5 ** (d_rx / decorr_m)
     if np.isscalar(d_tx_m) and np.isscalar(d_rx_m) and np.isscalar(decorr_m):
         return float(out)
     return out

@@ -89,38 +89,38 @@ def draw_trials(cfg: ScenarioConfig, cr: float, trials) -> TrialBatch:
     Each trial reads its "place", "shadow" and "rem" streams in the same
     order as one-trial-at-a-time drawing, so a trial's draws do not depend
     on the block it is drawn in; cr is the constant calibrate returns.  A
-    ConfigError if some trial's true link powers and the noise power do not
-    sum to a finite value: a link power beyond the float range, or a sum
-    that overflows, leaves its degradation undefined.
+    trial's draws are copied into its row of the zero-padded block arrays
+    and then dropped, so the block holds one copy of them.  A ConfigError if
+    some trial's true link powers and the noise power do not sum to a finite
+    value: a link power beyond the float range, or a sum that overflows,
+    leaves its degradation undefined.
     """
     trials = np.array(trials, dtype=np.int64).reshape(-1)
     if len(trials) == 0:
         raise ValueError("need at least one trial")
-    positions, shadows, fresh = [], [], []
+    draws = []
     for i in trials.tolist():
         place_stream = derive_stream(cfg.master_seed, i, _PLACE_TAG)
         shadow_stream = derive_stream(cfg.master_seed, i, _SHADOW_TAG)
         rem_stream = derive_stream(cfg.master_seed, i, _REM_TAG)
-        positions.append(sample_placement(place_stream, cfg))
-        n = len(positions[-1])
-        shadows.append(sample_shadows(shadow_stream, n, cfg.sigma_dB))
-        fresh.append(sample_shadows(rem_stream, n, cfg.sigma_dB))
+        xy = sample_placement(place_stream, cfg)
+        draws.append((xy, sample_shadows(shadow_stream, len(xy), cfg.sigma_dB),
+                      sample_shadows(rem_stream, len(xy), cfg.sigma_dB)))
 
-    counts = np.array([len(xy) for xy in positions], dtype=np.int64)
+    counts = np.array([len(xy) for xy, _, _ in draws], dtype=np.int64)
     active = np.arange(counts.max(initial=0)) < counts[:, None]
-
-    def links(values):
-        """The links of all trials, in trial order, as padded link columns."""
-        if len(values) == active.size:
-            return values.reshape(active.shape + values.shape[1:])
-        padded = np.zeros(active.shape + values.shape[1:])
-        padded[active] = values
-        return padded
-
-    xy = np.concatenate(positions)
-    sh = np.concatenate(shadows)
-    # np.hypot, unlike the map distances: these bits reach the profile weights
-    true_powers = links(received_power(cr, sh, np.hypot(xy[:, 0], xy[:, 1]), cfg.gamma_pl))
+    xy = np.zeros(active.shape + (2,))
+    shadows = np.zeros(active.shape)
+    fresh = np.zeros(active.shape)
+    for row, n in enumerate(counts.tolist()):
+        xy[row, :n], shadows[row, :n], fresh[row, :n] = draws[row]
+        draws[row] = None
+    # np.hypot, unlike the map distances: these bits reach the profile
+    # weights; padding takes distance 1 and then power 0
+    distances = np.hypot(xy[..., 0], xy[..., 1])
+    np.copyto(distances, 1.0, where=~active)
+    true_powers = received_power(cr, shadows, distances, cfg.gamma_pl)
+    np.copyto(true_powers, 0.0, where=~active)
     with np.errstate(over="ignore"):
         totals = true_powers.sum(axis=1) + cfg.noise_power
     if not np.isfinite(totals).all():
@@ -136,9 +136,9 @@ def draw_trials(cfg: ScenarioConfig, cr: float, trials) -> TrialBatch:
         trials=trials,
         counts=counts,
         active=active,
-        xy=links(xy),
-        shadows=links(sh),
-        fresh=links(np.concatenate(fresh)),
+        xy=xy,
+        shadows=shadows,
+        fresh=fresh,
         true_powers=true_powers,
     )
 
@@ -197,9 +197,13 @@ class Evaluation:
         reduce to a quantile of these values because greedy admission is a
         prefix rule: shrinking the budget can only drop the last-admitted
         candidates."""
-        over = np.cumsum(self.true_sorted, axis=1) > true_cap
-        cum_est = np.where(over, np.cumsum(self.est_sorted, axis=1), math.inf)
-        return cum_est.min(axis=1, initial=math.inf)
+        cum = np.cumsum(self.true_sorted, axis=1)
+        over = cum > true_cap
+        # the same buffer takes the estimated running sums, +inf where the
+        # true one is within the cap
+        np.cumsum(self.est_sorted, axis=1, out=cum)
+        np.copyto(cum, math.inf, where=~over)
+        return cum.min(axis=1, initial=math.inf)
 
     def profiles(self, budget: float) -> list[InterferenceProfile]:
         """Admitted profile of every trial for the budget: the true and
@@ -232,8 +236,9 @@ def _evaluations(batch: TrialBatch, delta: float, dds):
     sorted with numpy's default (SIMD) argsort, which need not keep the
     link order of equal estimates; only when some sorted row holds two equal
     finite estimates is the block sorted again with the stable sort.
-    Padding needs no such care: its columns all pair an infinite estimate
-    with zero true power, so their order changes nothing.
+    Padding needs no such care: its estimates are set to +inf in place, and
+    each padding column pairs that with zero true power, so their order
+    changes nothing.
     """
     cfg = batch.cfg
     est, _, _, clamped = estimate_links(
@@ -241,21 +246,29 @@ def _evaluations(batch: TrialBatch, delta: float, dds):
         snap_points(batch.xy, delta), _RECEIVER, snap_points(_RECEIVER, delta),
         np.array(dds, dtype=float)[:, None, None], cfg.R0,
     )
-    rows = np.arange(len(batch))[:, None]
+    del _  # rho and the map distances
+    np.copyto(est, math.inf, where=~batch.active)
     for est_dd in est:
-        est_dd = np.where(batch.active, est_dd, math.inf)
-        order = np.argsort(est_dd, axis=1)
-        est_sorted = est_dd[rows, order]
-        tie = est_sorted[:, 1:] == est_sorted[:, :-1]
-        if tie.any() and np.isfinite(est_sorted[:, 1:][tie]).any():
-            order = np.argsort(est_dd, axis=1, kind="stable")
-            est_sorted = est_dd[rows, order]
-        yield Evaluation(
-            batch=batch,
-            est_sorted=est_sorted,
-            true_sorted=batch.true_powers[rows, order],
-            clamped=clamped,
-        )
+        yield _admission_order(batch, est_dd, clamped)
+
+
+def _admission_order(batch: TrialBatch, est: np.ndarray, clamped: np.ndarray) -> Evaluation:
+    """The Evaluation of a batch whose unsorted estimates, +inf on padding,
+    are est.  A function of its own, so that none of its temporaries
+    outlives it while the Evaluation is reduced."""
+    rows = np.arange(len(batch))[:, None]
+    order = np.argsort(est, axis=1)
+    est_sorted = est[rows, order]
+    tie = est_sorted[:, 1:] == est_sorted[:, :-1]
+    if tie.any() and np.isfinite(est_sorted[:, 1:][tie]).any():
+        order = np.argsort(est, axis=1, kind="stable")
+        est_sorted = est[rows, order]
+    return Evaluation(
+        batch=batch,
+        est_sorted=est_sorted,
+        true_sorted=batch.true_powers[rows, order],
+        clamped=clamped,
+    )
 
 
 def sweep(batches, n_trials: int, points, reduce) -> list[np.ndarray]:

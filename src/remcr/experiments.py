@@ -222,19 +222,31 @@ def _lcr_aed_tables(
     """Shared pipeline behind study_lcr and study_aed."""
     cr = calibrate(cfg) if consts is None else consts
     budget = interference_threshold(cfg.buffer_dB, cfg.noise_power)
-    # a generator: the selection keeps only its two extremes, so the profile
-    # stage holds one block's profiles at a time
-    profiles = (
-        prof
-        for batch in trial_batches(cfg, cr, n_profile_trials)
-        for prof in evaluate(batch, cfg.delta_grid, cfg.D_d).profiles(budget)
-    )
+    admitting = 0  # trials that admit a transmitter, counted as they are read
+
+    def profiles():
+        # a generator: the selection keeps only its two extremes, so the
+        # profile stage holds one block's profiles at a time
+        nonlocal admitting
+        for batch in trial_batches(cfg, cr, n_profile_trials):
+            ev = evaluate(batch, cfg.delta_grid, cfg.D_d)
+            admitting += int(np.count_nonzero(ev.admitted(budget)))
+            yield from ev.profiles(budget)
+
     try:
-        dominant, no_dominant = select_extreme_profiles(profiles)
+        dominant, no_dominant = select_extreme_profiles(profiles())
     except TooFewProfilesError as exc:
+        if admitting == exc.non_empty:
+            cause = f"{admitting}; raise cr_density, activity_p or the trial count"
+        else:
+            cause = (
+                f"{admitting}, but in {admitting - exc.non_empty} of them the true power of "
+                f"every admitted link underflowed to 0 (R = {cfg.R:g} m, gamma_pl = "
+                f"{cfg.gamma_pl:g}, sigma_dB = {cfg.sigma_dB:g}), which leaves "
+                f"{exc.non_empty} non-empty profiles"
+            )
         raise ConfigError(
-            f"{exc}: the {n_profile_trials} profile trials admit a transmitter in "
-            f"{exc.non_empty}; raise cr_density, activity_p or the trial count"
+            f"{exc}: the {n_profile_trials} profile trials admit a transmitter in {cause}"
         ) from None
     k_db = cfg.K_dB if cfg.K_dB is not None else RICIAN_K_DB_DEFAULT
     k_factor = 10.0 ** (k_db / 10.0)
@@ -292,6 +304,11 @@ def study_lcr(
     with the largest and the smallest aggregate variance, and sweeps the
     threshold grid for Rayleigh and Rician fading.  Rates are normalized by
     the Doppler frequency.
+
+    The Monte Carlo cost is not bounded by a block: a run synthesizes
+    2 * (links in both extreme profiles) * 25 600 * mc_runs path-samples
+    (two fading types, MC_TICKS_PER_DOPPLER * MC_DOPPLER_TIMES_PER_RUN
+    samples a path and run), so it grows with the admitted link count.
     """
     return _lcr_aed_tables(cfg, n_profile_trials, mc_runs, consts)[0]
 
@@ -302,5 +319,9 @@ def study_aed(
     mc_runs: int = DEFAULT_MC_RUNS,
     consts: float | None = None,
 ) -> StudyTable:
-    """Analytic versus Monte Carlo mean exceedance durations (seconds)."""
+    """Analytic versus Monte Carlo mean exceedance durations (seconds).
+
+    Its Monte Carlo cost is study_lcr's: 2 * (links in both extreme
+    profiles) * 25 600 * mc_runs path-samples.
+    """
     return _lcr_aed_tables(cfg, n_profile_trials, mc_runs, consts)[1]

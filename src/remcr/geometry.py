@@ -20,7 +20,11 @@ __all__ = [
 # Largest secondary population of a scenario.  A block of engine.TRIAL_BLOCK
 # = 10 trials holds its positions in a float64 array of TRIAL_BLOCK * 2 values
 # per transmitter; a budget of 64 MiB for that array allows 2**26 // (10 * 2 * 8)
-# = 419 430 transmitters (the default scenario has 3 142).
+# = 419 430 transmitters (the default scenario has 3 142).  A block's draw and
+# evaluation peak at about 82 bytes a padded link, 130 at three D_d
+# (tests/test_engine.py::TestWorkingSet), so at this limit, activity_p = 1 and
+# --trials 10, `remcr cdf` peaks at about 364 MB of resident memory and
+# `remcr backoff` at 556 MB (2-vCPU Linux VM, Python 3.11, numpy 2.4).
 MAX_POPULATION = 419_430
 
 

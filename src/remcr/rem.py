@@ -66,16 +66,36 @@ def estimate_links(
     """
     true_xy = np.asarray(true_xy, dtype=float)
     snapped_xy = np.asarray(snapped_xy, dtype=float)
-    disp = true_xy - snapped_xy
-    d_tx = np.sqrt(disp[..., 0] ** 2 + disp[..., 1] ** 2)
+    # one coordinate at a time into per-link buffers: no (..., 2) temporary
+    r_hat = _distance(snapped_xy, receiver_snapped)
+    clamped = r_hat == 0.0
+    np.copyto(r_hat, min_distance_m, where=clamped)
+    d_tx = _distance(true_xy, snapped_xy)
+    del snapped_xy  # frees a snapped block its caller passed in, before the estimate
     # the receiver's factor, computed once and broadcast over the links
     d_rx = np.full(1, math.hypot(receiver_true[0] - receiver_snapped[0],
                                  receiver_true[1] - receiver_snapped[1]))
     rho = gudmundson_correlation(d_tx, d_rx, decorr_m)
-    shadow_est = rho * shadows_true + np.sqrt(1.0 - rho * rho) * fresh
-    grid = snapped_xy - np.asarray(receiver_snapped, dtype=float)
-    r_hat = np.sqrt(grid[..., 0] ** 2 + grid[..., 1] ** 2)
-    clamped = r_hat == 0.0
-    r_hat = np.where(clamped, min_distance_m, r_hat)
+    del d_tx
+    # rho * shadows_true + sqrt(1 - rho * rho) * fresh, in that order
+    shadow_est = np.multiply(rho, shadows_true)
+    part = np.multiply(rho, rho)
+    np.subtract(1.0, part, out=part)
+    np.sqrt(part, out=part)
+    part *= fresh
+    shadow_est += part
+    del part
     power_est = received_power(power_const, shadow_est, r_hat, pathloss_exp)
     return power_est, rho, r_hat, clamped
+
+
+def _distance(xy: np.ndarray, to) -> np.ndarray:
+    """sqrt(dx**2 + dy**2) from the (..., 2) points xy to to, a point or an
+    array of the same shape, in two per-point buffers."""
+    to = np.asarray(to, dtype=float)
+    out = np.subtract(xy[..., 0], to[..., 0])
+    np.square(out, out=out)
+    dy = np.subtract(xy[..., 1], to[..., 1])
+    np.square(dy, out=dy)
+    out += dy
+    return np.sqrt(out, out=out)

@@ -303,6 +303,20 @@ class TestExitCodes:
         assert err.startswith("config error: need at least two non-empty profiles")
         assert "admit a transmitter in 0" in err
 
+    @pytest.mark.parametrize("study", ["lcr", "aed"])
+    def test_admitted_powers_underflow(self, tmp_path, capsys, study):
+        # three transmitters a trial, each admitted, at distances where the
+        # path gain underflows: the trials admit links, the profiles are empty
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text("cr_density = 1e-300\nR = 1e153\nactivity_p = 1\n")
+        code, out, err = _capture([study, "--config", str(cfg), "--trials", "30"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: need at least two non-empty profiles: the 30 "
+                              "profile trials admit a transmitter in 30, but in 30 of them "
+                              "the true power of every admitted link underflowed to 0 (")
+        assert "which leaves 0 non-empty profiles" in err
+
     def test_validate_passes(self, capsys):
         code, out, _ = _capture(["validate"], capsys)
         assert code == 0

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +268,28 @@ class TestSharedGeometry:
                     assert np.array_equal(getattr(got, name), getattr(want, name)), name
                 if delta == 400.0:
                     assert got.clamped.any()
+
+
+class TestWorkingSet:
+    """Peak traced memory of a block's draw and evaluation, per padded link
+    (trial x column), at activity_p = 1 (about 3 142 links a trial): the
+    TrialBatch itself holds 41 bytes a link."""
+
+    @pytest.mark.parametrize("dds, limit", [((100.0,), 110.0), ((50.0, 100.0, 200.0), 150.0)])
+    def test_peak_bytes_per_padded_link(self, base_cfg, cr, dds, limit):
+        cfg = dataclasses.replace(base_cfg, activity_p=1.0)
+        budget = interference_threshold(cfg.buffer_dB, cfg.noise_power)
+        tracemalloc.start()
+        try:
+            batch = draw_trials(cfg, cr, range(TRIAL_BLOCK))
+            for ev in engine._evaluations(batch, 50.0, dds):
+                ev.degradation(budget)
+                ev.critical_budgets(budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.active.sum() > 30_000
+        assert peak / batch.active.size <= limit
 
 
 def _tied_block(counts, seed, n_values, n_cells):
