@@ -7,7 +7,8 @@ constant of the model, the float cr of the secondary transmitters: a
 secondary link then meets a 5 dB SNR target at the 95th percentile of its
 distribution, which fixes the interference scale of every study.  The
 licensed link needs no constant: the interference budget does not involve
-its power (see scenario.interference_threshold).
+its power (see scenario.interference_threshold).  How the map's shadowing
+correlates with this model's is remcr.rem's.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from remcr.scenario import DB_TO_NAT, ConfigError, ScenarioConfig, derive_stream
 __all__ = [
     "received_power",
     "sample_shadows",
-    "gudmundson_correlation",
     "calibrate",
 ]
 
@@ -63,30 +63,6 @@ def sample_shadows(stream: np.random.Generator, n: int, sigma_db: float) -> np.n
         raise ValueError("sigma_db must be positive")
     out = stream.normal(0.0, sigma_db, size=n)
     out *= DB_TO_NAT
-    return out
-
-
-def gudmundson_correlation(d_tx_m, d_rx_m, decorr_m):
-    """Correlation between true and map shadowing when both endpoints of a
-    link are displaced.
-
-    Exponential decay with half-value at the decorrelation distance, one
-    factor per endpoint:  0.5**(d_tx/D) * 0.5**(d_rx/D).  Vectorized: the
-    displacements and decorr_m broadcast against each other.
-    """
-    if np.less_equal(decorr_m, 0.0).any():
-        raise ValueError("decorrelation distance must be positive")
-    d_tx = np.asarray(d_tx_m, dtype=float)
-    d_rx = np.asarray(d_rx_m, dtype=float)
-    if (d_tx < 0.0).any() or (d_rx < 0.0).any():
-        raise ValueError("displacements must be non-negative")
-    # 0.5**(d_tx/D) * 0.5**(d_rx/D) in one buffer of the broadcast shape
-    out = np.empty(np.broadcast(d_tx, d_rx, decorr_m).shape)
-    np.divide(d_tx, decorr_m, out=out)
-    np.power(0.5, out, out=out)
-    out *= 0.5 ** (d_rx / decorr_m)
-    if np.isscalar(d_tx_m) and np.isscalar(d_rx_m) and np.isscalar(decorr_m):
-        return float(out)
     return out
 
 

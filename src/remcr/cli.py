@@ -20,9 +20,9 @@ from remcr import __version__
 from remcr import experiments as exp
 from remcr import lcr as lcrmod
 from remcr.channel import calibrate
-from remcr.engine import trial_profile
+from remcr.engine import evaluate, trial_batches
 from remcr.fadingsim import FadingSeries, count_crossings, generate_fading
-from remcr.geometry import snap_points
+from remcr.rem import snap_points
 from remcr.scenario import (
     ConfigError,
     ScenarioConfig,
@@ -122,10 +122,16 @@ def _run_validate(cfg: ScenarioConfig) -> int:
     cr = calibrate(cfg, n_samples=50_000)
     perfect = dataclasses.replace(cfg, delta_grid=0.0)
     cap = budget * (1.0 + 1e-9)
+
+    def admitted(c: ScenarioConfig):
+        # the profiles of trials 0 .. 29, one block of TRIAL_BLOCK at a time
+        for batch in trial_batches(c, cr, 30):
+            yield from evaluate(batch, c.delta_grid, c.D_d).profiles(budget)
+
     report("admission-respects-estimated-budget",
-           all(float(np.sum(trial_profile(cfg, cr, i).est_weights)) <= cap for i in range(30)))
+           all(float(np.sum(p.est_weights)) <= cap for p in admitted(cfg)))
     report("perfect-map-admission-respects-true-budget",
-           all(float(np.sum(trial_profile(perfect, cr, i).weights)) <= cap for i in range(30)))
+           all(float(np.sum(p.weights)) <= cap for p in admitted(perfect)))
 
     try:
         fit = lcrmod.fit_ncx2([1.0], 10.0)

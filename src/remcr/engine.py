@@ -8,8 +8,8 @@ streams.  draw_trials takes those draws for a block of trials into padded
 arrays; evaluate turns a block into map estimates and the greedy admission
 order at one (delta, D_d), vectorized across trials.  Admission for any
 budget, realized degradation and critical budgets are reductions over one
-Evaluation.  trial_profile and degradation_samples are views onto the same
-path.
+Evaluation; trial_profile and degradation_samples are views onto it.  The
+map itself (grid, receiver and estimate) is remcr.rem's.
 
 Studies walk trials in blocks of TRIAL_BLOCK, which bounds the working
 memory of an evaluation whatever the trial count or link density.
@@ -24,18 +24,20 @@ import numpy as np
 
 from remcr.allocation import InterferenceProfile
 from remcr.channel import calibrate, received_power, sample_shadows
-from remcr.geometry import sample_placement, snap_points
+from remcr.geometry import sample_placement
 from remcr.rem import estimate_links
 from remcr.scenario import ConfigError, ScenarioConfig, derive_stream, interference_threshold
 
 __all__ = [
     "TRIAL_BLOCK",
+    "MAX_TRIALS",
     "TrialBatch",
     "Evaluation",
     "draw_trials",
     "trial_batches",
     "evaluate",
     "sweep",
+    "check_trial_count",
     "trial_profile",
     "degradation_samples",
 ]
@@ -48,18 +50,20 @@ _REM_TAG = "rem"
 # temporaries to a few MB.
 TRIAL_BLOCK = 10
 
-# The protected receiver sits at the origin of every scenario.
-_RECEIVER = (0.0, 0.0)
+# Largest trial count of a study that keeps a float64 result a trial for each
+# sweep point (sweep) or visited grid size (study_grid_tradeoff): a budget of
+# 8 MiB an array allows 2**23 // 8 trials (the defaults are 600 to 2 000).
+MAX_TRIALS = 2**20
 
 
 @dataclass(frozen=True)
 class TrialBatch:
     """Raw draws of a block of trials; row i is trial trials[i].
 
-    The link arrays have one column per secondary transmitter: columns
-    0 .. counts[i]-1 are the active ones, and zero padding fills the row up
-    to the block's largest count.  active marks the columns that hold a
-    transmitter, (n_trials, max_active).  The licensed transmitter has no
+    The link arrays have one column per secondary transmitter: the active
+    ones come first, and zero padding fills the row up to the block's
+    largest count.  active marks the columns that hold a transmitter,
+    (n_trials, max_active).  The licensed transmitter has no
     column: the interference budget does not involve its link.
 
     cr           the calibrated secondary transmit-power constant
@@ -72,7 +76,6 @@ class TrialBatch:
     cfg: ScenarioConfig
     cr: float
     trials: np.ndarray
-    counts: np.ndarray
     active: np.ndarray
     xy: np.ndarray
     shadows: np.ndarray
@@ -134,7 +137,6 @@ def draw_trials(cfg: ScenarioConfig, cr: float, trials) -> TrialBatch:
         cfg=cfg,
         cr=cr,
         trials=trials,
-        counts=counts,
         active=active,
         xy=xy,
         shadows=shadows,
@@ -159,15 +161,12 @@ class Evaluation:
     est_sorted / true_sorted list each trial's secondary links in ascending
     order of estimated power (ties keep link order); padding sorts last with
     an infinite estimate and zero true power, so it is never admitted and
-    adds nothing.  clamped marks the links, in the batch's column order,
-    whose cell-center distance was clamped; padding sits at the origin, so
-    it reads as clamped.
+    adds nothing.
     """
 
     batch: TrialBatch
     est_sorted: np.ndarray
     true_sorted: np.ndarray
-    clamped: np.ndarray
 
     def admitted(self, budget: float) -> np.ndarray:
         """Per trial, the length of the greedy prefix whose estimated sum
@@ -220,11 +219,7 @@ class Evaluation:
 
 def evaluate(batch: TrialBatch, delta: float, D_d: float) -> Evaluation:
     """Map estimates and admission order of a batch at grid size delta and
-    decorrelation distance D_d; pure and vectorized across trials.
-
-    One rem.estimate_links call estimates every secondary link against the
-    snapped receiver.
-    """
+    decorrelation distance D_d; pure and vectorized across trials."""
     return next(_evaluations(batch, delta, [D_d]))
 
 
@@ -241,18 +236,16 @@ def _evaluations(batch: TrialBatch, delta: float, dds):
     changes nothing.
     """
     cfg = batch.cfg
-    est, _, _, clamped = estimate_links(
-        batch.fresh, batch.cr, cfg.gamma_pl, batch.shadows, batch.xy,
-        snap_points(batch.xy, delta), _RECEIVER, snap_points(_RECEIVER, delta),
+    est = estimate_links(
+        batch.fresh, batch.cr, cfg.gamma_pl, batch.shadows, batch.xy, delta,
         np.array(dds, dtype=float)[:, None, None], cfg.R0,
     )
-    del _  # rho and the map distances
     np.copyto(est, math.inf, where=~batch.active)
     for est_dd in est:
-        yield _admission_order(batch, est_dd, clamped)
+        yield _admission_order(batch, est_dd)
 
 
-def _admission_order(batch: TrialBatch, est: np.ndarray, clamped: np.ndarray) -> Evaluation:
+def _admission_order(batch: TrialBatch, est: np.ndarray) -> Evaluation:
     """The Evaluation of a batch whose unsorted estimates, +inf on padding,
     are est.  A function of its own, so that none of its temporaries
     outlives it while the Evaluation is reduced."""
@@ -267,7 +260,6 @@ def _admission_order(batch: TrialBatch, est: np.ndarray, clamped: np.ndarray) ->
         batch=batch,
         est_sorted=est_sorted,
         true_sorted=batch.true_powers[rows, order],
-        clamped=clamped,
     )
 
 
@@ -279,8 +271,9 @@ def sweep(batches, n_trials: int, points, reduce) -> list[np.ndarray]:
     evaluated at every point before the next one is taken, so a trial is
     drawn once however many points there are, and the points that share a
     grid size share its map geometry.  Returns one (n_trials,) array per
-    point.
+    point; a ConfigError before any is made if n_trials > MAX_TRIALS.
     """
+    check_trial_count(n_trials)
     out = [np.empty(n_trials) for _ in points]
     by_delta: dict[float, tuple[list, list]] = {}
     for values, (delta, dd) in zip(out, points):
@@ -296,8 +289,15 @@ def sweep(batches, n_trials: int, points, reduce) -> list[np.ndarray]:
     return out
 
 
+def check_trial_count(n_trials: int) -> None:
+    """A ConfigError if n_trials exceeds MAX_TRIALS."""
+    if n_trials > MAX_TRIALS:
+        raise ConfigError(f"{n_trials} trials exceed the {MAX_TRIALS} a study keeps results of")
+
+
 def trial_profile(cfg: ScenarioConfig, cr: float, trial_index: int) -> InterferenceProfile:
-    """Admitted profile of one trial for the configured buffer."""
+    """Admitted profile of one trial for the configured buffer; a view
+    kept for benchmark/workloads.py, which is its one caller."""
     ev = evaluate(draw_trials(cfg, cr, [trial_index]), cfg.delta_grid, cfg.D_d)
     return ev.profiles(interference_threshold(cfg.buffer_dB, cfg.noise_power))[0]
 
@@ -305,8 +305,8 @@ def trial_profile(cfg: ScenarioConfig, cr: float, trial_index: int) -> Interfere
 def degradation_samples(
     cfg: ScenarioConfig, n_trials: int, cr: float | None = None
 ) -> np.ndarray:
-    """Realized degradation (dB) over independent trials; cr is calibrated
-    when not given."""
+    """Realized degradation (dB) over independent trials, cr calibrated when
+    not given; a view kept for benchmark/workloads.py, which is its one caller."""
     cr = calibrate(cfg) if cr is None else cr
     budget = interference_threshold(cfg.buffer_dB, cfg.noise_power)
     return sweep(

@@ -18,7 +18,7 @@ import numpy as np
 from remcr import lcr as lcrmod
 from remcr.allocation import TooFewProfilesError, select_extreme_profiles
 from remcr.channel import calibrate
-from remcr.engine import evaluate, sweep, trial_batches
+from remcr.engine import check_trial_count, evaluate, sweep, trial_batches
 from remcr.fadingsim import EmpiricalCurve, count_crossings, merge_counted, generate_fading
 from remcr.scenario import ConfigError, ScenarioConfig, derive_stream, interference_threshold
 
@@ -121,8 +121,11 @@ def study_grid_tradeoff(
     never bound inside the search range.
 
     The trials are drawn once, and each (D_d, delta) the bisections visit is
-    evaluated once; the extra-buffer levels share those samples.
+    evaluated once; the extra-buffer levels share those samples.  It keeps
+    every block it draws (41 bytes a padded link), for at most
+    engine.MAX_TRIALS trials.
     """
+    check_trial_count(n_trials)
     cr = calibrate(cfg) if consts is None else consts
     budget = interference_threshold(cfg.buffer_dB, cfg.noise_power)
     batches = list(trial_batches(cfg, cr, n_trials))

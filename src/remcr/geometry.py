@@ -1,4 +1,7 @@
-"""Transmitter placement in the annulus and grid snapping."""
+"""Transmitter placement in the annulus around the protected receiver.
+
+The true positions are drawn here; the map's view of them (the grid cells
+they snap to) is remcr.rem's."""
 
 from __future__ import annotations
 
@@ -9,7 +12,6 @@ import numpy as np
 from remcr.scenario import ConfigError, ScenarioConfig
 
 __all__ = [
-    "snap_points",
     "sample_annulus_points",
     "sample_cr_count",
     "cr_population",
@@ -21,28 +23,11 @@ __all__ = [
 # = 10 trials holds its positions in a float64 array of TRIAL_BLOCK * 2 values
 # per transmitter; a budget of 64 MiB for that array allows 2**26 // (10 * 2 * 8)
 # = 419 430 transmitters (the default scenario has 3 142).  A block's draw and
-# evaluation peak at about 82 bytes a padded link, 130 at three D_d
+# evaluation peak at about 76 bytes a padded link, 108 at three D_d
 # (tests/test_engine.py::TestWorkingSet), so at this limit, activity_p = 1 and
-# --trials 10, `remcr cdf` peaks at about 364 MB of resident memory and
-# `remcr backoff` at 556 MB (2-vCPU Linux VM, Python 3.11, numpy 2.4).
+# --trials 10, `remcr cdf` peaks at about 335 MB of resident memory and
+# `remcr backoff` at 459 MB (2-vCPU Linux VM, Python 3.11, numpy 2.4).
 MAX_POPULATION = 419_430
-
-
-def snap_points(xy: np.ndarray, delta: float) -> np.ndarray:
-    """Map an (..., 2) array of positions to the centers of their grid cells
-    of side delta.
-
-    Cells are anchored at the origin, i.e. cell (i, j) covers
-    [i*delta, (i+1)*delta) x [j*delta, (j+1)*delta) and is represented by its
-    center.  delta = 0 disables snapping and returns a copy.  The positional
-    error is at most delta/sqrt(2).
-    """
-    if delta < 0.0:
-        raise ValueError("grid size must be non-negative")
-    xy = np.asarray(xy, dtype=float)
-    if delta == 0.0:
-        return xy.copy()
-    return (np.floor(xy / delta) + 0.5) * delta
 
 
 def sample_annulus_points(
@@ -112,8 +97,8 @@ def sample_placement(stream: np.random.Generator, cfg: ScenarioConfig) -> np.nda
     position where the stream has always put it: the draw order (licensed
     position, active count, secondary positions) is part of the determinism
     contract for a given stream.  The positions the discretized map
-    attributes to each node depend on the grid size and are taken with
-    snap_points where the map is read (remcr.engine.evaluate).
+    attributes to each node depend on the grid size and are taken where the
+    map is read (remcr.rem.estimate_links).
     """
     sample_annulus_points(stream, 1, cfg.R0, cfg.R)  # the licensed transmitter
     n_active = sample_cr_count(stream, cfg.cr_density, cfg.R, cfg.activity_p)

@@ -9,7 +9,6 @@ flaky.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from scipy import special, stats
 
 from remcr.allocation import select_extreme_profiles
 from remcr.cli import run
-from remcr.engine import degradation_samples, trial_profile
+from remcr.engine import evaluate, sweep, trial_batches
 from remcr.experiments import study_backoff, study_lcr
 from remcr.fadingsim import generate_fading
 from remcr.lcr import (
@@ -38,8 +37,11 @@ def _verdict(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def extremes(base_cfg, cr):
-    profiles = [trial_profile(base_cfg, cr, t) for t in range(1000)]
-    return select_extreme_profiles(profiles)
+    budget = interference_threshold(base_cfg.buffer_dB, base_cfg.noise_power)
+    return select_extreme_profiles(
+        p for batch in trial_batches(base_cfg, cr, 1000)
+        for p in evaluate(batch, base_cfg.delta_grid, base_cfg.D_d).profiles(budget)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -190,10 +192,12 @@ def test_criterion_05_gamma_ks(base_cfg, extremes):
 def test_criterion_06_map_resolution_cdf(base_cfg, cr):
     deltas = (1.0, 25.0, 50.0, 100.0)
     n_trials = 2000
-    samp = {
-        d: degradation_samples(replace(base_cfg, delta_grid=d), n_trials, cr=cr)
-        for d in deltas
-    }
+    budget = interference_threshold(base_cfg.buffer_dB, base_cfg.noise_power)
+    per_delta = sweep(
+        trial_batches(base_cfg, cr, n_trials), n_trials,
+        [(d, base_cfg.D_d) for d in deltas], lambda ev: ev.degradation(budget),
+    )
+    samp = dict(zip(deltas, per_delta))
     top = max(float(s.max()) for s in samp.values())
     grid = np.linspace(0.0, top, 501)
     exceed = {d: np.mean(samp[d][None, :] > grid[:, None], axis=1) for d in deltas}

@@ -10,8 +10,17 @@ from remcr.allocation import (
     TooFewProfilesError,
     select_extreme_profiles,
 )
-from remcr.engine import TrialBatch, evaluate, trial_profile
+from remcr.engine import TrialBatch, evaluate, trial_batches
 from remcr.scenario import ScenarioConfig, interference_threshold
+
+
+def _profiles(cfg, cr, n_trials):
+    """Admitted profiles of trials 0 .. n_trials-1 for the configured buffer."""
+    budget = interference_threshold(cfg.buffer_dB, cfg.noise_power)
+    return [
+        p for batch in trial_batches(cfg, cr, n_trials)
+        for p in evaluate(batch, cfg.delta_grid, cfg.D_d).profiles(budget)
+    ]
 
 
 def _evaluate(candidates):
@@ -30,7 +39,6 @@ def _evaluate(candidates):
         cfg=ScenarioConfig(),
         cr=1.0,
         trials=np.zeros(1, dtype=np.int64),
-        counts=np.array([n]),
         active=np.ones((1, n), dtype=bool),
         xy=np.tile([1.5, 0.5], (1, n, 1)),
         shadows=np.zeros((1, n)),
@@ -75,8 +83,7 @@ class TestAllocate:
 
     def test_perfect_map_never_violates_true_budget(self, base_cfg, cr):
         budget = interference_threshold(base_cfg.buffer_dB, base_cfg.noise_power)
-        for i in range(2000):
-            prof = trial_profile(base_cfg, cr, i)
+        for prof in _profiles(base_cfg, cr, 2000):
             assert float(np.sum(prof.weights)) <= budget * (1.0 + 1e-12)
 
     def test_zero_powers(self):
@@ -154,7 +161,7 @@ class TestExtremeProfiles:
         tie = self._prof(2.0, 1.0)
         profiles = (
             [self._prof(1.0, 1.0), tie, self._prof(1.0, 2.0), self._prof(0.5)]
-            + [trial_profile(base_cfg, cr, i) for i in range(50)]
+            + _profiles(base_cfg, cr, 50)
             + [self._prof(3.0, 0.5), self._prof(0.5, 3.0)]
         )
         from_list = select_extreme_profiles(profiles)
@@ -179,7 +186,7 @@ class TestExtremeProfiles:
         assert next(profiles).weights[0] == scale  # stopped at the first profile
 
     def test_dominant_has_larger_max_share(self, base_cfg, cr):
-        profiles = [trial_profile(base_cfg, cr, i) for i in range(300)]
+        profiles = _profiles(base_cfg, cr, 300)
         dom, nod = select_extreme_profiles(profiles)
         dom_share = np.max(dom.weights) / np.sum(dom.weights)
         nod_share = np.max(nod.weights) / np.sum(nod.weights)

@@ -8,11 +8,11 @@ import pytest
 from remcr.channel import (
     _percentile,
     calibrate,
-    gudmundson_correlation,
     received_power,
     sample_shadows,
 )
 from remcr.geometry import sample_annulus_points
+from remcr.rem import gudmundson_correlation
 from remcr.scenario import DB_TO_NAT, ConfigError, ScenarioConfig, derive_stream
 
 LN10_OVER_10 = math.log(10.0) / 10.0

@@ -327,7 +327,8 @@ class TestExitCodes:
 
 def _edge_cases():
     """Configs at the edge of the float range or of memory, as
-    (scenario lines, argv) params, one for each study the config reaches."""
+    (scenario lines, argv) params, one for each study the config reaches;
+    a study runs 30 trials unless the row names its own count."""
     all_studies = ["cdf", "grid-tradeoff", "backoff", "lcr", "aed", "validate"]
     table = [
         # a population beyond MAX_POPULATION, rejected before it is drawn
@@ -347,11 +348,19 @@ def _edge_cases():
         ("map-distance-squared", "delta_grid = 1e300", ["lcr", "validate"]),
         # a fit with 1.3e30 degrees of freedom
         ("huge-k-factor", "K_dB = 300", ["lcr", "aed"]),
+        # trial counts beyond engine.MAX_TRIALS: the per-trial results of cdf
+        # and backoff would take 745 GiB and 22 GiB, and grid-tradeoff keeps
+        # every block it draws
+        ("trials-1e11", "", ["cdf"], "100000000000"),
+        ("trials-3e9", "", ["backoff"], "3000000000"),
+        ("trials-1e7", "", ["grid-tradeoff"], "10000000"),
     ]
     return [
-        pytest.param(lines, [study] + ([] if study == "validate" else ["--trials", "30"]),
-                     id=f"{name}-{study}")
-        for name, lines, studies in table
+        pytest.param(
+            lines, [study] + ([] if study == "validate" else ["--trials", *(trials or ["30"])]),
+            id=f"{name}-{study}",
+        )
+        for name, lines, studies, *trials in table
         for study in studies
     ]
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from remcr import engine
-from remcr.channel import DB_TO_NAT, gudmundson_correlation
+from remcr.channel import DB_TO_NAT
 from remcr.engine import (
     TRIAL_BLOCK,
     TrialBatch,
@@ -19,7 +19,8 @@ from remcr.engine import (
     trial_batches,
     trial_profile,
 )
-from remcr.geometry import sample_placement, snap_points
+from remcr.geometry import sample_placement
+from remcr.rem import gudmundson_correlation, snap_points
 from remcr.scenario import ConfigError, ScenarioConfig, derive_stream, interference_threshold
 
 
@@ -60,10 +61,9 @@ def _one_trial(cfg, cr, trial_index):
 
 def _row(ev, row):
     """A trial's candidate links in an evaluation, without padding:
-    (est_sorted, true_sorted, number of clamped links)."""
-    n = int(ev.batch.counts[row])
-    clamped = int(np.count_nonzero(ev.clamped[row, :n]))
-    return ev.est_sorted[row, :n], ev.true_sorted[row, :n], clamped
+    (est_sorted, true_sorted)."""
+    n = int(ev.batch.active[row].sum())
+    return ev.est_sorted[row, :n], ev.true_sorted[row, :n]
 
 
 def _trial(cfg, cr, trial_index):
@@ -81,7 +81,8 @@ def _critical_budgets(cfg, cr, n_trials):
 
 def _assert_matches_one_trial(cfg, cr, trials):
     """evaluate over one batch of the trials equals each trial on its own,
-    through the oracle and through a one-trial batch, bit for bit."""
+    through the oracle and through a one-trial batch, bit for bit.  Returns
+    the number of clamped links, counted by the oracle."""
     budget = interference_threshold(cfg.buffer_dB, cfg.noise_power)
     ev = evaluate(draw_trials(cfg, cr, trials), cfg.delta_grid, cfg.D_d)
     degradation = ev.degradation(budget)
@@ -89,10 +90,9 @@ def _assert_matches_one_trial(cfg, cr, trials):
     clamped = 0
     for row, i in enumerate(trials):
         est, true, n_clamped, deg, crit = _one_trial(cfg, cr, i)
-        for got_est, got_true, got_clamped in (_row(ev, row), _trial(cfg, cr, i)):
+        for got_est, got_true in (_row(ev, row), _trial(cfg, cr, i)):
             assert np.array_equal(got_est, est)
             assert np.array_equal(got_true, true)
-            assert got_clamped == n_clamped
         assert degradation[row] == deg
         assert critical[row] == crit
         clamped += n_clamped
@@ -114,7 +114,7 @@ class TestBatchEquivalence:
 
     def test_sparse_trials_with_no_transmitter(self, cr):
         cfg = ScenarioConfig(cr_density=1.0, delta_grid=25.0)  # 3 transmitters
-        counts = draw_trials(cfg, cr, range(40)).counts
+        counts = draw_trials(cfg, cr, range(40)).active.sum(axis=1)
         assert np.any(counts == 0) and np.any(counts > 0)
         _assert_matches_one_trial(cfg, cr, range(40))
 
@@ -137,7 +137,7 @@ class TestBatchEquivalence:
     def test_draws_independent_of_the_sweep_point(self, base_cfg, cr):
         a = draw_trials(dataclasses.replace(base_cfg, delta_grid=100.0, D_d=50.0), cr, [4, 9])
         b = draw_trials(base_cfg, cr, [4, 9])
-        for name in ("counts", "xy", "shadows", "fresh", "true_powers"):
+        for name in ("active", "xy", "shadows", "fresh", "true_powers"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
@@ -157,18 +157,18 @@ class TestDrawCandidates:
 
     def test_estimates_sorted_ascending(self, base_cfg, cr):
         ev = evaluate(draw_trials(base_cfg, cr, [5]), base_cfg.delta_grid, base_cfg.D_d)
-        est, true, _ = _row(ev, 0)
+        est, true = _row(ev, 0)
         assert np.all(np.diff(est) >= 0.0)
-        assert len(est) == len(true) == ev.batch.counts[0]
+        assert len(est) == len(true) == ev.batch.active[0].sum()
 
     def test_perfect_map_estimates_equal_truth(self, base_cfg, cr):
-        est, true, clamped = _trial(base_cfg, cr, 2)
+        est, true = _trial(base_cfg, cr, 2)
         assert np.allclose(est, true, rtol=1e-12)
-        assert clamped == 0
+        assert _one_trial(base_cfg, cr, 2)[2] == 0  # no clamped link
 
     def test_coarse_map_estimates_differ(self, base_cfg, cr):
         cfg = dataclasses.replace(base_cfg, delta_grid=50.0)
-        est, true, _ = _trial(cfg, cr, 2)
+        est, true = _trial(cfg, cr, 2)
         assert not np.allclose(est, true, rtol=1e-3)
 
 
@@ -178,7 +178,7 @@ class TestTrialProfile:
         budget = interference_threshold(cfg.buffer_dB, cfg.noise_power)
         for i in range(10):
             prof = trial_profile(cfg, cr, i)
-            est, _, _ = _trial(cfg, cr, i)
+            est, _ = _trial(cfg, cr, i)
             k = len(prof)
             assert np.sum(prof.est_weights) <= budget * (1.0 + 1e-12)
             if k < len(est):
@@ -213,7 +213,7 @@ class TestCriticalBudgets:
         true_cap = interference_threshold(cfg.buffer_dB, cfg.noise_power)
         crits = _critical_budgets(cfg, cr, 12)
         for i, crit in enumerate(crits):
-            est, true, _ = _trial(cfg, cr, i)
+            est, true = _trial(cfg, cr, i)
             cum_est = np.cumsum(est)
             cum_true = np.cumsum(true)
             if np.isinf(crit):
@@ -264,10 +264,8 @@ class TestSharedGeometry:
                 assert np.all(index == index[0])
                 got, want = seen[int(index[0])], evaluate(batch, delta, dd)
                 assert got.batch is batch
-                for name in ("est_sorted", "true_sorted", "clamped"):
+                for name in ("est_sorted", "true_sorted"):
                     assert np.array_equal(getattr(got, name), getattr(want, name)), name
-                if delta == 400.0:
-                    assert got.clamped.any()
 
 
 class TestWorkingSet:
@@ -275,7 +273,9 @@ class TestWorkingSet:
     (trial x column), at activity_p = 1 (about 3 142 links a trial): the
     TrialBatch itself holds 41 bytes a link."""
 
-    @pytest.mark.parametrize("dds, limit", [((100.0,), 110.0), ((50.0, 100.0, 200.0), 150.0)])
+    @pytest.mark.parametrize("dds, limit", [
+        ((100.0,), 110.0), ((50.0, 100.0, 200.0), 150.0), ((50.0, 100.0, 200.0), 115.0),
+    ])
     def test_peak_bytes_per_padded_link(self, base_cfg, cr, dds, limit):
         cfg = dataclasses.replace(base_cfg, activity_p=1.0)
         budget = interference_threshold(cfg.buffer_dB, cfg.noise_power)
@@ -320,7 +320,6 @@ def _tied_block(counts, seed, n_values, n_cells):
         cfg=cfg,
         cr=1.0,
         trials=np.arange(len(counts)),
-        counts=counts,
         active=active,
         xy=xy,
         shadows=np.zeros(fresh.shape),

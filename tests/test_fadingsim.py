@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -15,8 +14,8 @@ from remcr.fadingsim import (
     generate_fading,
     merge_counted,
 )
-from remcr.engine import degradation_samples
-from remcr.scenario import derive_stream
+from remcr.engine import sweep, trial_batches
+from remcr.scenario import derive_stream, interference_threshold
 
 
 def _series(weights, k, runs=1, f_d=25.0, seed=40):
@@ -251,15 +250,20 @@ class TestMergeCounted:
         assert np.array_equal(merge_counted([a, a], 8.0).rates, a.rates)
 
 
+def _degradation(cfg, cr, n_trials, deltas):
+    """Realized degradation (dB) of trials 0 .. n_trials-1 per grid size."""
+    budget = interference_threshold(cfg.buffer_dB, cfg.noise_power)
+    return sweep(
+        trial_batches(cfg, cr, n_trials), n_trials, [(d, cfg.D_d) for d in deltas],
+        lambda ev: ev.degradation(budget),
+    )
+
+
 class TestDegradationCdf:
     def test_small_grid_rarely_exceeds_three_db(self, base_cfg, cr):
-        cfg = dataclasses.replace(base_cfg, delta_grid=1.0)
-        samples = degradation_samples(cfg, 400, cr)
+        (samples,) = _degradation(base_cfg, cr, 400, [1.0])
         assert np.mean(samples > 3.0) <= 0.02
 
     def test_grid_size_orders_medians(self, base_cfg, cr):
-        medians = []
-        for delta in (1.0, 50.0, 100.0):
-            cfg = dataclasses.replace(base_cfg, delta_grid=delta)
-            medians.append(np.median(degradation_samples(cfg, 300, cr)))
+        medians = [np.median(s) for s in _degradation(base_cfg, cr, 300, [1.0, 50.0, 100.0])]
         assert medians[0] < medians[1] < medians[2]

@@ -10,8 +10,8 @@ from remcr.geometry import (
     sample_annulus_points,
     sample_cr_count,
     sample_placement,
-    snap_points,
 )
+from remcr.rem import snap_points
 from remcr.scenario import ConfigError, ScenarioConfig
 
 
