@@ -124,7 +124,8 @@ def _run_validate(cfg: ScenarioConfig) -> int:
     cap = budget * (1.0 + 1e-9)
 
     def admitted(c: ScenarioConfig):
-        # the profiles of trials 0 .. 29, one block of TRIAL_BLOCK at a time
+        # the profiles of trials 0 .. 29, in trial_batches' link-sized blocks
+        # (one block at the default density, three at activity_p = 1)
         for batch in trial_batches(c, cr, 30):
             yield from evaluate(batch, c.delta_grid, c.D_d).profiles(budget)
 

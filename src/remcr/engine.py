@@ -11,8 +11,9 @@ budget, realized degradation and critical budgets are reductions over one
 Evaluation; trial_profile and degradation_samples are views onto it.  The
 map itself (grid, receiver and estimate) is remcr.rem's.
 
-Studies walk trials in blocks of TRIAL_BLOCK, which bounds the working
-memory of an evaluation whatever the trial count or link density.
+Studies walk trials in blocks of about BLOCK_LINKS links, and never fewer
+than TRIAL_BLOCK trials, which bounds the working memory of an evaluation
+whatever the trial count or link density.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ import numpy as np
 
 from remcr.allocation import InterferenceProfile
 from remcr.channel import calibrate, received_power, sample_shadows
-from remcr.geometry import sample_placement
+from remcr.geometry import cr_population, sample_placement
 from remcr.rem import estimate_links
 from remcr.scenario import ConfigError, ScenarioConfig, derive_stream, interference_threshold
 
 __all__ = [
     "TRIAL_BLOCK",
+    "BLOCK_LINKS",
     "MAX_TRIALS",
     "TrialBatch",
     "Evaluation",
@@ -46,12 +48,18 @@ _PLACE_TAG = "place"
 _SHADOW_TAG = "shadow"
 _REM_TAG = "rem"
 
-# Trials per block.  At 3 142 links a trial, ten trials keep an evaluation's
-# temporaries to a few MB.
+# Fewest trials per block.  At 3 142 links a trial, ten trials keep an
+# evaluation's temporaries to a few MB.
 TRIAL_BLOCK = 10
 
+# Mean active links a block is sized to hold when that takes more than
+# TRIAL_BLOCK trials.  Each block costs a fixed number of numpy calls per
+# sweep point, so sparse scenarios (314 links a trial by default, 52 trials a
+# block) pay that cost less often; dense ones keep blocks of TRIAL_BLOCK.
+BLOCK_LINKS = 2**14
+
 # Largest trial count of a study that keeps a float64 result a trial for each
-# sweep point (sweep) or visited grid size (study_grid_tradeoff): a budget of
+# sweep point (sweep, which study_grid_tradeoff calls once a step): a budget of
 # 8 MiB an array allows 2**23 // 8 trials (the defaults are 600 to 2 000).
 MAX_TRIALS = 2**20
 
@@ -145,13 +153,20 @@ def draw_trials(cfg: ScenarioConfig, cr: float, trials) -> TrialBatch:
     )
 
 
-def trial_batches(cfg: ScenarioConfig, cr: float, n_trials: int):
-    """Draws of trials 0 .. n_trials-1, one TrialBatch per TRIAL_BLOCK trials.
+def trial_batches(cfg: ScenarioConfig, cr: float, n_trials: int, block: int | None = None):
+    """Draws of trials 0 .. n_trials-1, one TrialBatch per block of trials.
 
-    A generator: a block is drawn only when the previous one is done with.
+    A block holds the given number of trials; by default
+    max(TRIAL_BLOCK, BLOCK_LINKS // mean active links), the mean being the
+    population times activity_p.  A trial's draws do not depend on its
+    block, so neither does any result.  A generator: a block is drawn only
+    when the previous one is done with.
     """
-    for lo in range(0, n_trials, TRIAL_BLOCK):
-        yield draw_trials(cfg, cr, range(lo, min(lo + TRIAL_BLOCK, n_trials)))
+    if block is None:
+        links = cr_population(cfg.cr_density, cfg.R) * cfg.activity_p
+        block = max(TRIAL_BLOCK, int(min(n_trials, BLOCK_LINKS // links)) if links else n_trials)
+    for lo in range(0, n_trials, block):
+        yield draw_trials(cfg, cr, range(lo, min(lo + block, n_trials)))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 from remcr import lcr as lcrmod
 from remcr.allocation import TooFewProfilesError, select_extreme_profiles
 from remcr.channel import calibrate
-from remcr.engine import check_trial_count, evaluate, sweep, trial_batches
+from remcr.engine import TRIAL_BLOCK, check_trial_count, evaluate, sweep, trial_batches
 from remcr.fadingsim import EmpiricalCurve, count_crossings, merge_counted, generate_fading
 from remcr.scenario import ConfigError, ScenarioConfig, derive_stream, interference_threshold
 
@@ -41,6 +41,12 @@ DEFAULT_DD_LIST = (50.0, 100.0, 200.0)
 DEFAULT_EXTRA_LIST = (1.0, 2.0, 3.0)
 DEFAULT_BACKOFF_DELTAS = (10.0, 25.0, 50.0)
 DELTA_SEARCH_CAP = 400  # meters; upper end of the grid-size search range
+# Largest number of padded links (trials x columns) study_grid_tradeoff keeps
+# drawn.  A TrialBatch holds 41 bytes a padded link, and a budget of 256 MiB
+# for the kept blocks allows 2**28 // 41 = 6 547 206: the default 600 trials
+# keep about 211 000, and 10 trials at geometry.MAX_POPULATION and
+# activity_p = 1 keep 4 194 300.
+MAX_KEPT_LINKS = 2**28 // 41
 RICIAN_K_DB_DEFAULT = 10.0
 
 # Monte Carlo sampling of the fading oracle: 64 ticks per Doppler time and
@@ -120,42 +126,54 @@ def study_grid_tradeoff(
     or below 5 percent.  A result equal to DELTA_SEARCH_CAP means the constraint
     never bound inside the search range.
 
-    The trials are drawn once, and each (D_d, delta) the bisections visit is
-    evaluated once; the extra-buffer levels share those samples.  It keeps
-    every block it draws (41 bytes a padded link), for at most
-    engine.MAX_TRIALS trials.
+    The trials are drawn once, and the bisections run in lockstep: each step
+    evaluates the (D_d, delta) points that the unfinished searches probe next
+    in one sweep, so the D_d values that probe one grid size share its map
+    geometry, and the extra-buffer levels share the samples of a point.  It
+    keeps every block it draws (41 bytes a padded link), for at most
+    engine.MAX_TRIALS trials and MAX_KEPT_LINKS padded links; a ConfigError
+    as soon as the drawn blocks exceed the latter.
     """
     check_trial_count(n_trials)
     cr = calibrate(cfg) if consts is None else consts
     budget = interference_threshold(cfg.buffer_dB, cfg.noise_power)
-    batches = list(trial_batches(cfg, cr, n_trials))
-    samples: dict[tuple[float, int], np.ndarray] = {}
+    batches, kept = [], 0
+    for batch in trial_batches(cfg, cr, n_trials):
+        kept += batch.active.size
+        if kept > MAX_KEPT_LINKS:
+            raise ConfigError(
+                f"the first {batch.trials[-1] + 1} of {n_trials} trials hold {kept} padded "
+                f"links, beyond the {MAX_KEPT_LINKS} grid-tradeoff keeps in memory"
+            )
+        batches.append(batch)
 
-    def exceed(dd: float, delta: int, level_db: float) -> float:
-        if (dd, delta) not in samples:
-            samples[dd, delta] = sweep(
-                batches, n_trials, [(delta, dd)], lambda ev: ev.degradation(budget)
-            )[0]
-        return float(np.mean(samples[dd, delta] > level_db))
+    # one search per (D_d, extra): [dd, extra, lo, hi], where lo satisfies the
+    # bound and hi does not; hi starts past the cap, which is probed first
+    searches = [[dd, extra, 0, DELTA_SEARCH_CAP + 1] for dd in dd_list for extra in extra_buffer_list]
 
-    rows: list[tuple] = []
-    for dd in dd_list:
-        for extra in extra_buffer_list:
-            level = cfg.buffer_dB + float(extra)
-            if exceed(dd, DELTA_SEARCH_CAP, level) <= 0.05:
-                rows.append((float(dd), float(extra), float(DELTA_SEARCH_CAP)))
-                continue
-            lo, hi = 0, DELTA_SEARCH_CAP  # lo satisfies the bound, hi does not
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if exceed(dd, mid, level) <= 0.05:
-                    lo = mid
-                else:
-                    hi = mid
-            rows.append((float(dd), float(extra), float(lo)))
+    def probe(search) -> int:
+        lo, hi = search[2:]
+        return DELTA_SEARCH_CAP if hi > DELTA_SEARCH_CAP else (lo + hi) // 2
+
+    active = searches
+    while active:
+        # the searches walk one tree of intervals, the cap at its root, whose
+        # nodes all probe different grid sizes: a step's points are new, and
+        # no later step needs its samples
+        points = list(dict.fromkeys((probe(s), s[0]) for s in active))
+        samples = dict(zip(points, sweep(
+            batches, n_trials, points, lambda ev: ev.degradation(budget)
+        )))
+        for s in active:
+            delta = probe(s)
+            if float(np.mean(samples[delta, s[0]] > cfg.buffer_dB + float(s[1]))) <= 0.05:
+                s[2] = delta
+            else:
+                s[3] = delta
+        active = [s for s in active if s[3] - s[2] > 1]
     return StudyTable(
         headers=("dd_m", "extra_db", "delta_star_m"),
-        rows=tuple(rows),
+        rows=tuple((float(dd), float(extra), float(lo)) for dd, extra, lo, _ in searches),
         summary={"n_trials": n_trials, "delta_cap_m": float(DELTA_SEARCH_CAP)},
     )
 
@@ -231,7 +249,11 @@ def _lcr_aed_tables(
         # a generator: the selection keeps only its two extremes, so the
         # profile stage holds one block's profiles at a time
         nonlocal admitting
-        for batch in trial_batches(cfg, cr, n_profile_trials):
+        # blocks of TRIAL_BLOCK, not sized by link count: the selection reads
+        # a block's profiles before the next block is drawn, so a profile
+        # that fails its fit (exit 3) is reported before a later trial's
+        # non-finite link-power sum (exit 2) is drawn
+        for batch in trial_batches(cfg, cr, n_profile_trials, TRIAL_BLOCK):
             ev = evaluate(batch, cfg.delta_grid, cfg.D_d)
             admitting += int(np.count_nonzero(ev.admitted(budget)))
             yield from ev.profiles(budget)

@@ -19,9 +19,9 @@ __all__ = [
     "MAX_POPULATION",
 ]
 
-# Largest secondary population of a scenario.  A block of engine.TRIAL_BLOCK
-# = 10 trials holds its positions in a float64 array of TRIAL_BLOCK * 2 values
-# per transmitter; a budget of 64 MiB for that array allows 2**26 // (10 * 2 * 8)
+# Largest secondary population of a scenario.  A dense scenario's block of
+# engine.TRIAL_BLOCK = 10 trials holds its positions in a float64 array of
+# TRIAL_BLOCK * 2 values per transmitter; a budget of 64 MiB for that array allows 2**26 // (10 * 2 * 8)
 # = 419 430 transmitters (the default scenario has 3 142).  A block's draw and
 # evaluation peak at about 76 bytes a padded link, 108 at three D_d
 # (tests/test_engine.py::TestWorkingSet), so at this limit, activity_p = 1 and

@@ -354,6 +354,9 @@ def _edge_cases():
         ("trials-1e11", "", ["cdf"], "100000000000"),
         ("trials-3e9", "", ["backoff"], "3000000000"),
         ("trials-1e7", "", ["grid-tradeoff"], "10000000"),
+        # within MAX_TRIALS, but grid-tradeoff would keep 1e6 dense trials'
+        # blocks, 130 GB; it stops at experiments.MAX_KEPT_LINKS
+        ("kept-links-1e6", "activity_p = 1", ["grid-tradeoff"], "1000000"),
     ]
     return [
         pytest.param(

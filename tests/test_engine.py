@@ -127,9 +127,12 @@ class TestBatchEquivalence:
         assert np.all(np.isinf(ev.critical_budgets(budget)))
         assert [len(p) for p in ev.profiles(budget)] == [0] * 5
 
-    def test_studies_match_one_trial_across_blocks(self, base_cfg, cr):
+    def test_studies_match_one_trial_across_blocks(self, base_cfg, cr, monkeypatch):
+        # blocks of TRIAL_BLOCK, so that the trials span three blocks
+        monkeypatch.setattr(engine, "BLOCK_LINKS", 1)
         cfg = dataclasses.replace(base_cfg, delta_grid=50.0)
         n = 2 * TRIAL_BLOCK + 5
+        assert len(list(trial_batches(cfg, cr, n))) == 3
         oracle = [_one_trial(cfg, cr, i) for i in range(n)]
         assert np.array_equal(degradation_samples(cfg, n, cr), [o[3] for o in oracle])
         assert np.array_equal(_critical_budgets(cfg, cr, n), [o[4] for o in oracle])
@@ -243,7 +246,9 @@ class TestSharedGeometry:
         # study_backoff's order: each grid size recurs among the points
         points = [(delta, dd) for dd in dds for delta in deltas]
         n = 2 * TRIAL_BLOCK + 3
+        monkeypatch.setattr(engine, "BLOCK_LINKS", 1)  # three blocks of at most TRIAL_BLOCK
         batches = list(trial_batches(base_cfg, cr, n))
+        assert len(batches) == 3
         calls = []
         estimate_links = engine.estimate_links
         monkeypatch.setattr(engine, "estimate_links", lambda *a: calls.append(a) or estimate_links(*a))
@@ -290,6 +295,40 @@ class TestWorkingSet:
             tracemalloc.stop()
         assert batch.active.sum() > 30_000
         assert peak / batch.active.size <= limit
+
+    # at the default density (about 314 links a trial) trial_batches sizes a
+    # block to about BLOCK_LINKS links: 52 trials
+    @pytest.mark.parametrize("dds, limit", [((100.0,), 110.0), ((50.0, 100.0, 200.0), 115.0)])
+    def test_default_density_block(self, base_cfg, cr, dds, limit):
+        budget = interference_threshold(base_cfg.buffer_dB, base_cfg.noise_power)
+        tracemalloc.start()
+        try:
+            batch = next(trial_batches(base_cfg, cr, 1000))
+            for ev in engine._evaluations(batch, 50.0, dds):
+                ev.degradation(budget)
+                ev.critical_budgets(budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(batch) == engine.BLOCK_LINKS // 314 and batch.active.sum() > 15_000
+        assert peak / batch.active.size <= limit
+
+
+class TestTrialBatches:
+    @pytest.mark.parametrize("fields, sizes", [
+        ({}, [52, 52, 26]),  # 314.2 active links a trial
+        ({"activity_p": 0.05}, [104, 26]),
+        ({"activity_p": 1.0}, [TRIAL_BLOCK] * 13),  # dense: never fewer than TRIAL_BLOCK
+        ({"cr_density": 0.0}, [130]),  # no links: one block
+    ])
+    def test_block_sizes(self, base_cfg, cr, fields, sizes):
+        cfg = dataclasses.replace(base_cfg, **fields)
+        batches = list(trial_batches(cfg, cr, 130))
+        assert [len(b) for b in batches] == sizes
+        assert np.array_equal(np.concatenate([b.trials for b in batches]), np.arange(130))
+
+    def test_given_block_size(self, base_cfg, cr):
+        assert [len(b) for b in trial_batches(base_cfg, cr, 25, TRIAL_BLOCK)] == [10, 10, 5]
 
 
 def _tied_block(counts, seed, n_values, n_cells):

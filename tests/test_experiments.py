@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from remcr import engine
 from remcr import experiments as exp
+from remcr.scenario import ConfigError, interference_threshold
 
 
 def _rows_for(table, **match):
@@ -92,6 +94,110 @@ class TestStudyGridTradeoff:
         assert all(0.0 <= v <= exp.DELTA_SEARCH_CAP for v in stars.values())
         # a looser exceedance requirement tolerates a coarser map
         assert stars[1.0] <= stars[3.0]
+
+
+def _sequential_grid_tradeoff(cfg, dd_list, extra_buffer_list, n_trials, cr):
+    """study_grid_tradeoff's bisections one after another, one sweep a
+    point: the loop the lockstep search replaced, kept as its oracle.
+    Returns the rows and the (D_d, delta) points evaluated."""
+    budget = interference_threshold(cfg.buffer_dB, cfg.noise_power)
+    batches = list(engine.trial_batches(cfg, cr, n_trials))
+    samples = {}
+
+    def exceed(dd, delta, level_db):
+        if (dd, delta) not in samples:
+            samples[dd, delta] = engine.sweep(
+                batches, n_trials, [(delta, dd)], lambda ev: ev.degradation(budget)
+            )[0]
+        return float(np.mean(samples[dd, delta] > level_db))
+
+    rows = []
+    for dd in dd_list:
+        for extra in extra_buffer_list:
+            level = cfg.buffer_dB + float(extra)
+            if exceed(dd, exp.DELTA_SEARCH_CAP, level) <= 0.05:
+                rows.append((float(dd), float(extra), float(exp.DELTA_SEARCH_CAP)))
+                continue
+            lo, hi = 0, exp.DELTA_SEARCH_CAP
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if exceed(dd, mid, level) <= 0.05:
+                    lo = mid
+                else:
+                    hi = mid
+            rows.append((float(dd), float(extra), float(lo)))
+    return tuple(rows), set(samples)
+
+
+class TestGridTradeoffLockstep:
+    """The bisections run in lockstep against the sequential loop."""
+
+    # capped: the rows whose constraint never binds, so the result is the cap
+    @pytest.mark.parametrize("seed, activity_p, n_trials, dd_list, extras, capped", [
+        (1, 0.1, 30, (50.0, 100.0, 200.0), (1.0, 2.0, 3.0), 0),
+        (2, 0.05, 60, (100.0, 100.0, 1000.0), (0.1, 10.0), 0),
+        (3, 1.0, 12, (50.0, 1000.0), (0.5, 3.0), 0),
+        (4, 0.3, 1, (200.0, 1000.0, 200.0), (1.0, 10.0), 1),
+        (5, 0.1, 45, (25.0, 75.0), (10.0, 0.1, 5.0), 0),
+        (6, 0.5, 7, (1000.0,), (2.0,), 0),
+        (7, 0.2, 20, (100.0, 50.0, 100.0, 50.0), (3.0, 0.2), 0),
+    ])
+    def test_matches_sequential_bisections(
+        self, base_cfg, cr, monkeypatch, seed, activity_p, n_trials, dd_list, extras, capped
+    ):
+        cfg = dataclasses.replace(base_cfg, master_seed=seed, activity_p=activity_p)
+        want, want_points = _sequential_grid_tradeoff(cfg, dd_list, extras, n_trials, cr)
+        steps = []
+        sweep = exp.sweep
+
+        def counting(batches, n, points, reduce):
+            steps.append([(dd, delta) for delta, dd in points])
+            return sweep(batches, n, points, reduce)
+
+        monkeypatch.setattr(exp, "sweep", counting)
+        got = exp.study_grid_tradeoff(
+            cfg, dd_list=dd_list, extra_buffer_list=extras, n_trials=n_trials, consts=cr
+        )
+        assert got.rows == want
+        points = [p for step in steps for p in step]
+        # each point once, the sequential loop's points, one sweep a step
+        assert len(points) == len(set(points))
+        assert set(points) == want_points
+        assert len(steps) <= 1 + math.ceil(math.log2(exp.DELTA_SEARCH_CAP))
+        assert sum(row[2] == exp.DELTA_SEARCH_CAP for row in got.rows) == capped
+
+    def test_kept_links_bound(self, base_cfg, cr, monkeypatch):
+        # a default-density block holds about 19 000 padded links: the
+        # second of 600 trials' twelve blocks crosses the bound
+        monkeypatch.setattr(exp, "MAX_KEPT_LINKS", 30_000)
+        drawn = []
+        draw = engine.draw_trials
+        monkeypatch.setattr(engine, "draw_trials", lambda *a: drawn.append(a) or draw(*a))
+        with pytest.raises(ConfigError, match=r"^the first 104 of 600 trials hold \d+ padded links, "
+                           r"beyond the 30000 grid-tradeoff keeps in memory$"):
+            exp.study_grid_tradeoff(base_cfg, n_trials=600, consts=cr)
+        assert len(drawn) == 2
+
+    def test_kept_links_budget(self, base_cfg, cr):
+        # a TrialBatch holds 41 bytes a padded link; 256 MiB of them
+        batch = engine.draw_trials(base_cfg, cr, range(3))
+        held = sum(getattr(batch, name).nbytes
+                   for name in ("active", "xy", "shadows", "fresh", "true_powers"))
+        assert held == 41 * batch.active.size
+        assert exp.MAX_KEPT_LINKS == 2**28 // 41
+
+
+class TestBlockSize:
+    """A study's table does not depend on how trial_batches blocks trials."""
+
+    @pytest.mark.parametrize("study", [exp.study_cdf, exp.study_backoff, exp.study_grid_tradeoff])
+    def test_tables_identical(self, base_cfg, cr, monkeypatch, study):
+        tables = []
+        # blocks of TRIAL_BLOCK trials, then all 60 trials in one block
+        for links in (1, 2**40):
+            monkeypatch.setattr(engine, "BLOCK_LINKS", links)
+            tables.append(study(base_cfg, n_trials=60, consts=cr))
+        assert tables[0] == tables[1]
 
 
 class TestStudyBackoff:
